@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import validate_density_matrix
-from .rng import TRAJECTORY, derived_rng
+from .rng import TRAJECTORY, item_rngs
 
 __all__ = [
     "ChannelParams",
@@ -157,9 +157,10 @@ def _trajectory_phases(params: ChannelParams, cfg: NoiseTrajectoryConfig,
         * dt_eff
     )
     phases = np.empty((cfg.n_trajectories, 2))
-    for i in range(cfg.n_trajectories):
-        rng = derived_rng(cfg.seed, TRAJECTORY, i)
-        increments = rng.standard_normal((2, n_steps))
+    increments = np.empty((2, n_steps))
+    streams = item_rngs(cfg.seed, TRAJECTORY, range(cfg.n_trajectories))
+    for i, rng in enumerate(streams):
+        rng.standard_normal(out=increments)
         phases[i] = cfg.mu * step_std * increments.sum(axis=1)
     return phases
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import channel, kraus, spinbath, symmetry
 from .kraus import CompletePositivityError
-from .rng import FEASIBLE_SCAN, derived_rng
 
 __all__ = ["main", "build_parser"]
 
@@ -68,10 +67,18 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
+class NonFiniteOutputError(ArithmeticError):
+    """A report holds a NaN or an infinity, which strict JSON cannot carry."""
+
+
 def _write_json(path: str | None, doc: dict) -> None:
+    # serialize before opening the output, so a failure leaves no partial file
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutputError(f"report not written: {exc}") from exc
     with _open_out(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _state_header() -> list[str]:
@@ -138,18 +145,6 @@ def _parse_pattern(text: str) -> symmetry.ConstraintPattern:
     return symmetry.ConstraintPattern.from_rows(rows)
 
 
-def _feasible_scan(pattern, bell, gamma, n_samples, seed):
-    p_max, p_min, total = -np.inf, np.inf, 0.0
-    for i in range(n_samples):
-        mixer = symmetry.sample_feasible_unitary(
-            pattern, derived_rng(seed, FEASIBLE_SCAN, i))
-        p = symmetry.symmetric_probability(bell, gamma, mixer)
-        p_max = max(p_max, p)
-        p_min = min(p_min, p)
-        total += p
-    return p_max, p_min, total / n_samples
-
-
 def _cmd_optimize(args) -> None:
     if args.scan_samples < 1:
         raise ValueError(f"--scan-samples must be >= 1, got {args.scan_samples}")
@@ -157,9 +152,9 @@ def _cmd_optimize(args) -> None:
     bell = symmetry.BellState(args.state)
     p_opt, mixer = symmetry.maximize_symmetric_probability(
         bell, args.gamma, pattern, budget=args.budget, seed=args.seed)
-    scan_max, scan_min, scan_mean = _feasible_scan(
-        pattern, bell, args.gamma, args.scan_samples, args.seed)
-    difference = abs(p_opt - scan_max)
+    scan = symmetry.feasible_symmetry_scan(
+        bell, args.gamma, pattern, args.scan_samples, seed=args.seed)
+    difference = abs(p_opt - scan.p_max)
     doc = {
         "schema": OPTIMIZE_REPORT_SCHEMA,
         "state": bell.value,
@@ -171,9 +166,9 @@ def _cmd_optimize(args) -> None:
         "mixer": _matrix_pairs(mixer),
         "scan": {
             "n_samples": args.scan_samples,
-            "p_max": scan_max,
-            "p_min": scan_min,
-            "p_mean": scan_mean,
+            "p_max": scan.p_max,
+            "p_min": scan.p_min,
+            "p_mean": scan.p_mean,
         },
         "agreement": {
             "tolerance": args.agreement_tol,
@@ -367,7 +362,7 @@ def main(argv=None) -> int:
     except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except CompletePositivityError as exc:
+    except (CompletePositivityError, NonFiniteOutputError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

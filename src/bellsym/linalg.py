@@ -60,10 +60,13 @@ def is_hermitian(a, tol: float = 1e-10) -> bool:
 
 
 def is_unitary(a, tol: float = 1e-10) -> bool:
-    """True iff ||a† a - I||_max <= tol."""
-    a = as_square_matrix(a)
-    eye = np.eye(a.shape[0])
-    return max_abs(dagger(a) @ a - eye) <= tol
+    """True iff ||a† a - I||_max <= tol; for a stack of shape (..., d, d),
+    iff that holds for every matrix in it."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    eye = np.eye(a.shape[-1])
+    return max_abs(np.swapaxes(a.conj(), -1, -2) @ a - eye) <= tol
 
 
 def hermitian_eig(a, herm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:

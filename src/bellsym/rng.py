@@ -4,14 +4,23 @@ Every stochastic routine derives one counter-based generator per work item
 from ``(seed, stream, index)``. Distinct keys give statistically independent
 Philox streams, results never depend on batching or thread count, and the
 same seed can drive several subsystems without their draws overlapping.
+
+Item ``index`` of ``stream`` under ``seed`` is the Philox stream with key
+``[seed, (stream << 56) + index]`` and counter zero. :func:`derived_rng`
+builds one such generator; :func:`item_rngs` re-keys a single Philox in
+place for each item of a run, which draws the same numbers without building
+a new generator per item (a counter-based generator's state is only its key
+and counter).
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 import numpy as np
 
-__all__ = ["derived_rng", "TRAJECTORY", "HAAR_SCAN", "OPT_RESTART",
-           "FEASIBLE_SCAN"]
+__all__ = ["derived_rng", "item_rngs", "TRAJECTORY", "HAAR_SCAN",
+           "OPT_RESTART", "FEASIBLE_SCAN"]
 
 # stream namespaces
 TRAJECTORY = 0
@@ -23,13 +32,51 @@ _MAX_SEED = 2**64
 _MAX_INDEX = 2**56
 
 
-def derived_rng(seed: int, stream: int, index: int) -> np.random.Generator:
-    """Generator for work item ``index`` of ``stream`` under ``seed``."""
+def _key(seed: int, stream: int, index: int) -> np.ndarray:
+    """Philox key of work item ``index`` of ``stream`` under ``seed``."""
+    return np.array([seed, _item_word(seed, stream, index)], dtype=np.uint64)
+
+
+def _item_word(seed: int, stream: int, index: int) -> int:
+    """Second key word of the item, after range checks of all three."""
     if not 0 <= seed < _MAX_SEED:
         raise ValueError("seed must be an unsigned 64-bit integer")
     if not 0 <= stream < 256:
         raise ValueError(f"stream must be in [0, 255], got {stream}")
     if not 0 <= index < _MAX_INDEX:
         raise ValueError(f"index must be in [0, 2^56), got {index}")
-    key = [seed, (stream << 56) + index]
-    return np.random.Generator(np.random.Philox(key=key))
+    return (stream << 56) + index
+
+
+def derived_rng(seed: int, stream: int, index: int) -> np.random.Generator:
+    """Generator for work item ``index`` of ``stream`` under ``seed``."""
+    return np.random.Generator(np.random.Philox(key=_key(seed, stream, index)))
+
+
+def item_rngs(seed: int, stream: int,
+              indices: Iterable[int]) -> Iterator[np.random.Generator]:
+    """Generators of the work items ``indices`` of ``stream`` under ``seed``.
+
+    Each yielded generator draws exactly what ``derived_rng(seed, stream,
+    index)`` would. It is one generator object, re-keyed in place before
+    each yield, so draw from it before advancing the iterator. Seed and
+    stream are checked here, each index when its turn comes.
+    """
+    _item_word(seed, stream, 0)
+    return _rekeyed(seed, stream, indices)
+
+
+def _rekeyed(seed: int, stream: int,
+             indices: Iterable[int]) -> Iterator[np.random.Generator]:
+    key = _key(seed, stream, 0)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    # the state of a fresh Philox: counter zero, output buffer empty
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for index in indices:
+        key[1] = _item_word(seed, stream, index)
+        bitgen.state = state
+        yield gen

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -44,7 +45,8 @@ from scipy.optimize import minimize
 
 from . import linalg
 from .kraus import KrausFactors
-from .rng import HAAR_SCAN, OPT_RESTART, derived_rng
+from .rng import (FEASIBLE_SCAN, HAAR_SCAN, OPT_RESTART, derived_rng,
+                  item_rngs)
 
 __all__ = [
     "BellState",
@@ -66,6 +68,7 @@ __all__ = [
     "sample_feasible_unitary",
     "maximize_symmetric_probability",
     "brute_force_symmetry_scan",
+    "feasible_symmetry_scan",
 ]
 
 SCAN_REPORT_SCHEMA = "bellsym/scan-report/v1"
@@ -104,8 +107,6 @@ _BELL_VECTORS = {
     BellState.B3: _bell_vector(0, 1, 1, 0),
     BellState.B4: _bell_vector(0, 1, -1, 0),
 }
-
-_B4_VEC = _BELL_VECTORS[BellState.B4]
 
 
 class SymmetryClass(str, Enum):
@@ -210,11 +211,54 @@ def _coerce_bell(bell: Union[BellState, str]) -> BellState:
     return BellState(str(bell))
 
 
-def _checked_mixer(mixer) -> np.ndarray:
-    mixer = linalg.as_square_matrix(mixer, "mixer")
-    if mixer.shape != (4, 4) or not linalg.is_unitary(mixer, 1e-10):
-        raise ValueError("mixer must be a 4x4 unitary matrix")
-    return mixer
+def _mixer_stack(mixer) -> np.ndarray:
+    """``mixer`` as a validated stack (N, 4, 4) of unitaries; a single 4x4
+    mixer becomes a stack of one."""
+    stack = np.asarray(mixer, dtype=np.complex128)
+    if stack.ndim == 2:
+        stack = stack[None]
+    if stack.ndim != 3 or stack.shape[1:] != (4, 4) \
+            or not linalg.is_unitary(stack, 1e-10):
+        raise ValueError("mixer must be a 4x4 unitary matrix or a stack "
+                         "(N, 4, 4) of them")
+    return stack
+
+
+# Class codes of _outcomes, indexing _CLASSES; a negligible outcome has no
+# class.
+_SYMMETRIC, _ANTISYMMETRIC, _MIXED, _NEGLIGIBLE = range(4)
+_CLASSES = (SymmetryClass.SYMMETRIC, SymmetryClass.ANTISYMMETRIC,
+            SymmetryClass.MIXED, None)
+
+
+def _outcomes(bell, gamma, mixer, tol, prob_floor=1e-14):
+    """The four outcomes of each mixer in ``mixer``, (4, 4) or (N, 4, 4).
+
+    Returns ``(amp, prob, asymmetry, code)``: the unnormalized outcome
+    vectors (N, 4, 4), their probabilities, swap asymmetries and class codes
+    (N, 4), indexing ``_CLASSES``. Axis 1 is the outcome mu. Negligible
+    outcomes (probability below ``prob_floor``) get code ``_NEGLIGIBLE``
+    and a NaN asymmetry.
+
+    For a normalized outcome psi with q = |psi_1 - psi_2|^2, the B4 overlap
+    is q / 2 and ||S rho S - rho||_F^2 = 2 q (2 - q); both come from the
+    difference of the middle amplitudes, so neither loses precision near
+    zero.
+    """
+    bell = _coerce_bell(bell)
+    factors = KrausFactors.from_gamma(gamma)
+    mixers = _mixer_stack(mixer)
+    # row mu of mixer @ diagonals is the diagonal of E_mu
+    amp = (mixers @ factors.diagonals()) * bell.vector
+    prob = (amp.conj()[..., None, :] @ amp[..., :, None])[..., 0, 0].real
+    live = prob >= prob_floor
+    q = np.abs(amp[..., 1] - amp[..., 2]) ** 2 / np.where(live, prob, 1.0)
+    asym = np.sqrt(np.maximum(0.0, 2.0 * q * (2.0 - q)))
+    code = np.where(q / 2.0 >= 1.0 - tol, _ANTISYMMETRIC,
+                    np.where(asym <= tol, _SYMMETRIC, _MIXED))
+    code[~live] = _NEGLIGIBLE
+    asym[~live] = np.nan
+    return amp, prob, asym, code
 
 
 def outcome_analysis(
@@ -234,33 +278,18 @@ def outcome_analysis(
     * symmetric     -- swap asymmetry (Frobenius) is at most ``tol``;
     * mixed         -- anything else (the exchange symmetry is broken).
     """
-    bell = _coerce_bell(bell)
-    factors = KrausFactors.from_gamma(gamma)
-    mixer = _checked_mixer(mixer)
-    diags = mixer @ factors.diagonals()     # row mu = diagonal of E_mu
-    v = bell.vector
-
+    mixer = linalg.as_square_matrix(mixer, "mixer")
+    (amp,), (prob,), (asym,), (code,) = _outcomes(bell, gamma, mixer, tol,
+                                                  prob_floor)
     reports = []
     for mu in range(4):
-        amp = diags[mu] * v
-        prob = float(np.vdot(amp, amp).real)
-        if prob < prob_floor:
-            reports.append(OutcomeReport(
-                outcome_index=mu + 1, probability=prob, state=None,
-                symmetry_class=None, asymmetry=float("nan"), negligible=True))
-            continue
-        state = np.outer(amp, amp.conj()) / prob
-        asym = float(np.linalg.norm(_swap_conjugate(state) - state))
-        anti_weight = float(abs(np.vdot(_B4_VEC, amp)) ** 2 / prob)
-        if anti_weight >= 1.0 - tol:
-            cls = SymmetryClass.ANTISYMMETRIC
-        elif asym <= tol:
-            cls = SymmetryClass.SYMMETRIC
-        else:
-            cls = SymmetryClass.MIXED
+        negligible = code[mu] == _NEGLIGIBLE
+        state = None if negligible \
+            else np.outer(amp[mu], amp[mu].conj()) / prob[mu]
         reports.append(OutcomeReport(
-            outcome_index=mu + 1, probability=prob, state=state,
-            symmetry_class=cls, asymmetry=asym, negligible=False))
+            outcome_index=mu + 1, probability=float(prob[mu]), state=state,
+            symmetry_class=_CLASSES[code[mu]], asymmetry=float(asym[mu]),
+            negligible=bool(negligible)))
     return reports
 
 
@@ -269,11 +298,17 @@ def symmetric_probability(
     gamma: float,
     mixer,
     tol: float = 1e-9,
-) -> float:
-    """Total probability of exchange-symmetric outcomes for one decomposition."""
-    reports = outcome_analysis(bell, gamma, mixer, tol=tol)
-    return float(sum(r.probability for r in reports
-                     if r.symmetry_class is SymmetryClass.SYMMETRIC))
+) -> Union[float, np.ndarray]:
+    """Total probability of exchange-symmetric outcomes for one decomposition.
+
+    ``mixer`` is one 4x4 unitary, giving a float, or a stack (N, 4, 4) of
+    them, giving an array of N probabilities.
+    """
+    mixer = np.asarray(mixer, dtype=np.complex128)
+    _, prob, _, code = _outcomes(bell, gamma, mixer, tol)
+    # numpy adds fewer than eight terms in order, as a running sum would
+    p = np.where(code == _SYMMETRIC, prob, 0.0).sum(axis=-1)
+    return float(p[0]) if mixer.ndim == 2 else p
 
 
 @dataclass(frozen=True)
@@ -314,7 +349,7 @@ def asymptotic_symmetric_probability(pattern: ConstraintPattern, mixer) -> float
     With u_{mu 2} = 0 on each constrained row mu, the symmetric outcomes
     contribute sum_mu |u_{mu 3} + u_{mu 4}|^2 / 4.
     """
-    mixer = _checked_mixer(mixer)
+    (mixer,) = _mixer_stack(linalg.as_square_matrix(mixer, "mixer"))
     total = 0.0
     for row in pattern.rows_sorted:
         if abs(mixer[row - 1, 1]) > 1e-9:
@@ -329,18 +364,29 @@ def asymptotic_symmetric_probability(pattern: ConstraintPattern, mixer) -> float
 # unitary constructions
 # ---------------------------------------------------------------------------
 
-def haar_unitary(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix.
+def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
+    """Q factor of each matrix of ``g`` (..., m, n), with column j multiplied
+    by the phase of R's diagonal entry j.
 
-    The R diagonal's phases are folded into Q, which makes the distribution
-    exactly Haar rather than merely orthonormal.
+    The phase fold makes Q of a complex Ginibre matrix exactly Haar
+    distributed rather than merely orthonormal.
     """
-    z = rng.standard_normal((2, dim, dim))
-    ginibre = (z[0] + 1j * z[1]) / math.sqrt(2.0)
-    q, r = np.linalg.qr(ginibre)
-    d = np.diagonal(r).copy()
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _haar_from_normals(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from standard normals of shape (..., 2, d, d): the real
+    and imaginary parts of one complex Ginibre matrix each."""
+    return _phase_fixed_q((z[..., 0, :, :] + 1j * z[..., 1, :, :])
+                          / math.sqrt(2.0))
+
+
+def haar_unitary(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
+    return _haar_from_normals(rng.standard_normal((2, dim, dim)))
 
 
 def hermitian_from_params(theta: Sequence[float], dim: int) -> np.ndarray:
@@ -437,14 +483,10 @@ def sample_feasible_unitary(pattern: ConstraintPattern,
     g = rng.standard_normal((2, 4, 3))
     g = (g[0] + 1j * g[1]) / math.sqrt(2.0)
     g = g - np.outer(c, c.conj() @ g)
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r).copy()
-    d[d == 0] = 1.0
-    q = q * (d / np.abs(d))
 
     u = np.empty((4, 4), dtype=np.complex128)
     u[:, 1] = c
-    u[:, [0, 2, 3]] = q
+    u[:, [0, 2, 3]] = _phase_fixed_q(g)
     return u
 
 
@@ -505,7 +547,7 @@ def maximize_symmetric_probability(
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Summary of symmetric probabilities over Haar-random mixers."""
+    """Summary of symmetric probabilities over random mixers."""
 
     bell: BellState
     gamma: float
@@ -535,6 +577,57 @@ class ScanResult:
         }
 
 
+# Samples per chunk of a scan. A chunk's temporaries are a few arrays of
+# (SCAN_CHUNK, 4, 4) complex numbers, so memory stays bounded for any sample
+# count; the results do not depend on the chunk size.
+SCAN_CHUNK = 256
+
+
+def _scan(bell, gamma, n_samples, seed, stream, draw_mixers, bin_width=0.01,
+          tol=1e-9) -> ScanResult:
+    """Histogram the symmetric probability of ``n_samples`` random mixers.
+
+    Sample ``i`` draws from item ``i`` of ``stream`` under ``seed``;
+    ``draw_mixers(rngs, m)`` returns the (m, 4, 4) mixers of the next ``m``
+    generators of ``rngs``. Samples are evaluated ``SCAN_CHUNK`` at a time
+    and the mean is a running sum in index order, so the result does not
+    depend on the chunking.
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not (math.isfinite(bin_width) and 0.0 < bin_width <= 1.0):
+        raise ValueError(f"bin_width must be finite and in (0, 1], got "
+                         f"{bin_width}")
+    bell = _coerce_bell(bell)
+    KrausFactors.from_gamma(gamma)
+    n_bins = int(round(1.0 / bin_width)) + 1
+    counts = np.zeros(n_bins, dtype=np.int64)
+    p_max = -np.inf
+    p_min = np.inf
+    total = 0.0
+    rngs = item_rngs(seed, stream, range(n_samples))
+    for start in range(0, n_samples, SCAN_CHUNK):
+        mixers = draw_mixers(rngs, min(SCAN_CHUNK, n_samples - start))
+        p = symmetric_probability(bell, gamma, mixers, tol=tol)
+        p_max = max(p_max, p.max())
+        p_min = min(p_min, p.min())
+        total = np.concatenate(([total], p)).cumsum()[-1]
+        bins = np.clip(np.rint(p / bin_width), 0, n_bins - 1).astype(np.int64)
+        counts += np.bincount(bins, minlength=n_bins)
+    return ScanResult(
+        bell=bell, gamma=float(gamma), n_samples=n_samples, seed=seed,
+        bin_width=bin_width, p_max=float(p_max), p_min=float(p_min),
+        p_mean=float(total / n_samples), counts=tuple(int(c) for c in counts),
+    )
+
+
+def _haar_mixers(rngs, m: int) -> np.ndarray:
+    z = np.empty((m, 2, 4, 4))
+    for row, rng in zip(z, rngs):
+        rng.standard_normal(out=row)
+    return _haar_from_normals(z)
+
+
 def brute_force_symmetry_scan(
     bell: Union[BellState, str],
     gamma: float,
@@ -549,24 +642,21 @@ def brute_force_symmetry_scan(
     the sample index, and the reduction runs in index order, so the result
     is deterministic for a fixed seed regardless of batching.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    bell = _coerce_bell(bell)
-    KrausFactors.from_gamma(gamma)
-    n_bins = int(round(1.0 / bin_width)) + 1
-    counts = np.zeros(n_bins, dtype=np.int64)
-    p_max = -np.inf
-    p_min = np.inf
-    total = 0.0
-    for i in range(n_samples):
-        mixer = haar_unitary(derived_rng(seed, HAAR_SCAN, i))
-        p = symmetric_probability(bell, gamma, mixer, tol=tol)
-        p_max = max(p_max, p)
-        p_min = min(p_min, p)
-        total += p
-        counts[min(n_bins - 1, max(0, int(round(p / bin_width))))] += 1
-    return ScanResult(
-        bell=bell, gamma=float(gamma), n_samples=n_samples, seed=seed,
-        bin_width=bin_width, p_max=float(p_max), p_min=float(p_min),
-        p_mean=float(total / n_samples), counts=tuple(int(c) for c in counts),
-    )
+    return _scan(bell, gamma, n_samples, seed, HAAR_SCAN, _haar_mixers,
+                 bin_width, tol)
+
+
+def feasible_symmetry_scan(
+    bell: Union[BellState, str],
+    gamma: float,
+    pattern: ConstraintPattern,
+    n_samples: int,
+    seed: int,
+) -> ScanResult:
+    """Like :func:`brute_force_symmetry_scan`, over random mixers that
+    respect ``pattern`` (:func:`sample_feasible_unitary`): an independent
+    sampling check of :func:`maximize_symmetric_probability`."""
+    def draw(rngs, m):
+        return np.stack([sample_feasible_unitary(pattern, rng)
+                         for rng in islice(rngs, m)])
+    return _scan(bell, gamma, n_samples, seed, FEASIBLE_SCAN, draw)

@@ -266,6 +266,17 @@ class TestMonteCarloCommand:
         assert main(args + ["-o", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_non_finite_report_is_numerical_failure(self, tmp_path, capsys):
+        # one trajectory has no spread estimate: stderr is infinite, which
+        # strict JSON cannot hold, so nothing may be written
+        out = tmp_path / "mc.json"
+        code = main(["montecarlo", "--state", "B1", "--rate", "1.0",
+                     "--time", "1.0", "--n-trajectories", "1",
+                     "-o", str(out)])
+        assert code == 4
+        assert not out.exists()
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_zero_trajectories_is_usage_error(self):
         code = main(["montecarlo", "--state", "B1", "--rate", "1.0",
                      "--time", "1.0", "--n-trajectories", "0"])

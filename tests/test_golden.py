@@ -1,0 +1,79 @@
+"""Golden sha256 digests of CLI outputs.
+
+Criterion 10 only proves that two runs of one build agree; these digests pin
+the output bytes across refactors. Each case reruns one CLI invocation at a
+small size and compares the sha256 of the file it writes with the digest in
+``golden/cli_sha256.json``. Digests can depend on the numpy/BLAS build, which
+is recorded next to them.
+
+A change that alters output bytes on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says which fields changed, and why.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bellsym.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_sha256.json"
+
+CASES = {
+    "symmetry-scan-B3-g0-2k": ["--seed", "7", "symmetry-scan", "--state", "B3",
+                               "--gamma", "0.0", "--n-samples", "2000"],
+    "symmetry-scan-B1-g0.5-2k": ["--seed", "8", "symmetry-scan", "--state",
+                                 "B1", "--gamma", "0.5", "--n-samples", "2000"],
+    "symmetry-scan-B2-g0.7-1k": ["--seed", "9", "symmetry-scan", "--state",
+                                 "B2", "--gamma", "0.7", "--n-samples", "1000"],
+    "optimize-B3-123": ["--seed", "7", "optimize", "--state", "B3",
+                        "--gamma", "0.0", "--pattern", "1,2,3",
+                        "--budget", "200", "--scan-samples", "500"],
+    "montecarlo-B1-5k": ["--seed", "7", "montecarlo", "--state", "B1",
+                         "--rate", "1.0", "--time", "1.0",
+                         "--n-trajectories", "5000"],
+    "kraus-canonical": ["kraus", "--gamma", "0.5"],
+    "kraus-choi": ["kraus", "--gamma", "0.5", "--method", "choi"],
+    "evolve-B3": ["evolve", "--state", "B3", "--rate", "1.0", "--t-max", "5",
+                  "--n-points", "21"],
+    "spinbath": ["--seed", "7", "spinbath", "--n-spins", "10", "--t-max", "20",
+                 "--n-points", "21"],
+    "spinbath-state-B3": ["--seed", "7", "spinbath", "--n-spins", "10",
+                          "--t-max", "20", "--n-points", "21",
+                          "--state", "B3"],
+}
+
+
+def output_sha256(argv, directory: Path) -> str:
+    out = directory / "out"
+    assert main(argv + ["-o", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def build_info() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden_digest(name, tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    digest = output_sha256(CASES[name], tmp_path)
+    assert digest == golden["sha256"][name], (
+        f"{name}: output bytes changed (digests recorded with "
+        f"{golden['build']}, running {build_info()})")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: output_sha256(argv, Path(tmp))
+                   for name, argv in sorted(CASES.items())}
+    GOLDEN.write_text(json.dumps({"build": build_info(), "sha256": digests},
+                                 indent=2) + "\n")

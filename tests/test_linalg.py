@@ -126,6 +126,17 @@ class TestIsUnitary:
             u = unitary_from_generator(rng.standard_normal(16), dim=4)
             assert linalg.is_unitary(u, 1e-10)
 
+    def test_stack_needs_every_matrix_unitary(self, rng):
+        stack = np.stack([unitary_from_generator(rng.standard_normal(16))
+                          for _ in range(5)])
+        assert linalg.is_unitary(stack, 1e-10)
+        stack[3, 0, 0] += 1e-6
+        assert not linalg.is_unitary(stack, 1e-10)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            linalg.is_unitary(np.ones((2, 4, 3)))
+
 
 class TestValidateDensityMatrix:
     def test_accepts_random_density_matrices(self, rng):

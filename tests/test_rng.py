@@ -1,0 +1,74 @@
+import numpy as np
+import pytest
+
+from bellsym.rng import derived_rng, item_rngs
+
+MAX_SEED = 2**64 - 1
+MAX_INDEX = 2**56 - 1
+
+
+def draws(rng: np.random.Generator) -> list:
+    # normals, doubles and 32-bit integers use the generator's buffers
+    # differently; a re-keyed stream must reset all of them
+    return [rng.standard_normal(5), rng.integers(0, 2**31, size=3,
+                                                 dtype=np.int32),
+            rng.random(3), rng.integers(0, 7, size=1, dtype=np.int32)]
+
+
+def assert_same_draws(a: np.random.Generator, b: np.random.Generator):
+    for x, y in zip(draws(a), draws(b)):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("seed,stream,indices", [
+    (0, 0, [0, 1, 2]),
+    (7, 1, [MAX_INDEX, 0, MAX_INDEX - 1]),
+    (MAX_SEED, 3, [0, MAX_INDEX, 5]),
+    (MAX_SEED, 255, [MAX_INDEX]),
+])
+def test_item_rngs_match_derived_rng(seed, stream, indices):
+    for index, rng in zip(indices, item_rngs(seed, stream, indices)):
+        assert_same_draws(rng, derived_rng(seed, stream, index))
+
+
+def test_item_rngs_match_derived_rng_on_every_stream():
+    for stream in range(256):
+        (rng,) = item_rngs(MAX_SEED, stream, [stream])
+        assert np.array_equal(rng.standard_normal(3),
+                              derived_rng(MAX_SEED, stream, stream)
+                              .standard_normal(3))
+
+
+def test_item_rngs_yield_one_generator_per_index():
+    assert len(list(item_rngs(1, 2, range(10)))) == 10
+    assert list(item_rngs(1, 2, [])) == []
+
+
+@pytest.mark.parametrize("seed,stream", [
+    (-1, 0), (2**64, 0), (0, -1), (0, 256),
+])
+def test_bad_seed_or_stream_rejected_eagerly(seed, stream):
+    with pytest.raises(ValueError) as derived:
+        derived_rng(seed, stream, 0)
+    with pytest.raises(ValueError) as rekeyed:
+        item_rngs(seed, stream, [])
+    assert str(rekeyed.value) == str(derived.value)
+
+
+@pytest.mark.parametrize("index", [-1, 2**56])
+def test_bad_index_rejected(index):
+    with pytest.raises(ValueError, match="index") as derived:
+        derived_rng(0, 0, index)
+    rngs = item_rngs(0, 0, [0, index])
+    next(rngs)
+    with pytest.raises(ValueError) as rekeyed:
+        next(rngs)
+    assert str(rekeyed.value) == str(derived.value)
+
+
+def test_seeds_above_2_63_keep_distinct_streams():
+    # such seeds were once rounded through float64: 2^63 + 1 drew the
+    # streams of 2^63, and 2^64 - 1 those of seed 0
+    first = {seed: derived_rng(seed, 0, 0).standard_normal(4).tobytes()
+             for seed in (0, 2**63, 2**63 + 1, MAX_SEED)}
+    assert len(set(first.values())) == 4

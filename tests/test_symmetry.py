@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellsym import symmetry
 from bellsym.channel import dephase_with_factors
@@ -15,6 +16,7 @@ from bellsym.symmetry import (
     brute_force_symmetry_scan,
     expi_hermitian,
     feasible_params_dim,
+    feasible_symmetry_scan,
     feasible_unitary,
     haar_unitary,
     hermitian_from_params,
@@ -26,7 +28,7 @@ from bellsym.symmetry import (
     symmetric_probability,
     unitary_from_generator,
 )
-from bellsym.rng import HAAR_SCAN, derived_rng
+from bellsym.rng import FEASIBLE_SCAN, HAAR_SCAN, derived_rng
 
 from conftest import assert_valid_for_schema, random_hermitian
 
@@ -325,6 +327,38 @@ class TestSymmetricProbability:
             pytest.approx(0.5, abs=1e-15)
 
 
+    def test_rejects_stack_of_wrong_shape(self):
+        with pytest.raises(ValueError, match="unitary"):
+            symmetric_probability(BellState.B3, 0.0, np.eye(3)[None])
+        with pytest.raises(ValueError, match="unitary"):
+            symmetric_probability(BellState.B3, 0.0,
+                                  np.stack([np.eye(4), np.ones((4, 4))]))
+
+
+def _mixer(kind: int, index: int) -> np.ndarray:
+    """A Haar mixer, or a feasible one whose exact zeros give exactly
+    symmetric outcomes."""
+    if kind == 0:
+        return haar_unitary(derived_rng(17, HAAR_SCAN, index))
+    pattern = ConstraintPattern.from_rows(range(1, kind + 1))
+    return sample_feasible_unitary(pattern,
+                                   derived_rng(17, FEASIBLE_SCAN, index))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(bell=st.sampled_from(BellState),
+       gamma=st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                       st.floats(0.0, 1.0)),
+       items=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2**20)),
+                      min_size=1, max_size=9))
+def test_stacked_symmetric_probability_equals_single_calls(bell, gamma, items):
+    mixers = np.stack([_mixer(kind, index) for kind, index in items])
+    stacked = symmetric_probability(bell, gamma, mixers)
+    singles = np.array([symmetric_probability(bell, gamma, u) for u in mixers])
+    assert stacked.shape == (len(items),)
+    assert stacked.tobytes() == singles.tobytes()
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("rows", [(1,), (1, 2), (1, 2, 3)])
     def test_agree_with_classification(self, rows):
@@ -465,6 +499,47 @@ class TestBruteForceScan:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError, match="n_samples"):
             brute_force_symmetry_scan(BellState.B3, 0.0, 0, seed=0)
+
+    @pytest.mark.parametrize("bin_width", [0.0, -0.1, 1.5, math.inf,
+                                           math.nan])
+    def test_rejects_bad_bin_width(self, bin_width):
+        with pytest.raises(ValueError, match="bin_width"):
+            brute_force_symmetry_scan(BellState.B3, 0.0, 10, seed=0,
+                                      bin_width=bin_width)
+
+    def test_whole_range_bin(self):
+        res = brute_force_symmetry_scan(BellState.B3, 0.3, 40, seed=2,
+                                        bin_width=1.0)
+        assert len(res.counts) == 2 and sum(res.counts) == 40
+
+    # 1000 samples: enough that a chunk-wise pairwise sum would move the
+    # last bit of the B1/B2 means (almost every B3 Haar sample has p = 0)
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("bell,gamma", [(BellState.B1, 0.5),
+                                            (BellState.B2, 0.2),
+                                            (BellState.B3, 0.7)])
+    def test_chunk_size_does_not_change_result(self, monkeypatch, chunk,
+                                               bell, gamma):
+        default = brute_force_symmetry_scan(bell, gamma, 1000, seed=31)
+        monkeypatch.setattr(symmetry, "SCAN_CHUNK", chunk)
+        assert brute_force_symmetry_scan(bell, gamma, 1000, seed=31) \
+            == default
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_feasible_scan_chunk_size_does_not_change_result(
+            self, monkeypatch, chunk):
+        pattern = ConstraintPattern.from_rows([1])
+        default = feasible_symmetry_scan(BellState.B3, 0.0, pattern, 300,
+                                         seed=32)
+        monkeypatch.setattr(symmetry, "SCAN_CHUNK", chunk)
+        assert feasible_symmetry_scan(BellState.B3, 0.0, pattern, 300,
+                                      seed=32) == default
+
+    def test_feasible_scan_three_row_pattern_is_constant(self):
+        pattern = ConstraintPattern.from_rows([1, 2, 3])
+        res = feasible_symmetry_scan(BellState.B3, 0.0, pattern, 200, seed=3)
+        assert res.p_min == pytest.approx(0.5, abs=1e-12)
+        assert res.p_max == pytest.approx(0.5, abs=1e-12)
 
     def test_report_validates_against_schema(self):
         res = brute_force_symmetry_scan(BellState.B3, 0.0, 50, seed=1)
