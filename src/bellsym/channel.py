@@ -103,7 +103,7 @@ class NoiseTrajectoryConfig:
 
 def gamma_factor(rate: float, time: float) -> float:
     """Single-qubit coherence attenuation exp(-time * rate / 2)."""
-    if rate < 0.0 or time < 0.0:
+    if not (rate >= 0.0 and time >= 0.0):
         raise ValueError(f"rate and time must be >= 0, got ({rate}, {time})")
     return float(np.exp(-time * rate / 2.0))
 
@@ -183,12 +183,10 @@ def monte_carlo_dephasing(
     if params.time == 0.0:
         return rho0.copy(), 0.0
 
-    n_steps = int(round(params.time / cfg.dt))
-    if n_steps == 0:
-        n_steps = 1
-    if abs(n_steps * cfg.dt - params.time) > cfg.dt:
-        raise ValueError(
-            f"dt={cfg.dt} must divide time={params.time} to within one step")
+    steps = params.time / cfg.dt
+    if not np.isfinite(steps):
+        raise ValueError(f"time/dt = {steps} is not a finite step count")
+    n_steps = max(1, int(round(steps)))
 
     phases = _trajectory_phases(params, cfg, n_steps)
     angle = 0.5 * (np.outer(phases[:, 0], _SIGN_A)

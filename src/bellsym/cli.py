@@ -28,7 +28,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import channel, kraus, spinbath, symmetry
-from .kraus import CompletePositivityError
+from .kraus import CompletePositivityError, _matrix_to_pairs
 
 __all__ = ["main", "build_parser"]
 
@@ -98,9 +98,13 @@ def _state_cells(rho: np.ndarray) -> list[str]:
     return cells
 
 
-def _matrix_pairs(m: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)]
-            for z in np.asarray(m, dtype=np.complex128).reshape(-1)]
+def _time_grid(args) -> np.ndarray:
+    """The ``--n-points`` times from 0 to ``--t-max``."""
+    if not (np.isfinite(args.t_max) and args.t_max >= 0.0):
+        raise ValueError(f"--t-max must be finite and >= 0, got {args.t_max}")
+    if args.n_points < 1:
+        raise ValueError(f"--n-points must be >= 1, got {args.n_points}")
+    return np.linspace(0.0, args.t_max, args.n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +113,7 @@ def _matrix_pairs(m: np.ndarray) -> list[list[float]]:
 
 def _cmd_evolve(args) -> None:
     state = symmetry.BellState(args.state)
-    if args.t_max < 0.0:
-        raise ValueError(f"--t-max must be >= 0, got {args.t_max}")
-    if args.n_points < 1:
-        raise ValueError(f"--n-points must be >= 1, got {args.n_points}")
-    times = np.linspace(0.0, args.t_max, args.n_points)
+    times = _time_grid(args)
     rho0 = state.density()
     rows = []
     for t in times:
@@ -163,7 +163,7 @@ def _cmd_optimize(args) -> None:
         "seed": args.seed,
         "budget": args.budget,
         "p_max": p_opt,
-        "mixer": _matrix_pairs(mixer),
+        "mixer": _matrix_to_pairs(mixer),
         "scan": {
             "n_samples": args.scan_samples,
             "p_max": scan.p_max,
@@ -205,26 +205,17 @@ def _cmd_spinbath(args) -> None:
             args.n_spins, seed=args.seed,
             equal_amplitudes=(args.amplitudes == "equal"),
             omega_range=(args.omega_min, args.omega_max))
-    if args.t_max < 0.0:
-        raise ValueError(f"--t-max must be >= 0, got {args.t_max}")
-    if args.n_points < 1:
-        raise ValueError(f"--n-points must be >= 1, got {args.n_points}")
-
-    times = np.linspace(0.0, args.t_max, args.n_points)
+    times = _time_grid(args)
     factors = spinbath.decoherence_series(bath, times)
     header = ["t", "r_re", "r_im", "r_abs"]
-    include_state = args.state is not None
-    if include_state:
-        psi0 = symmetry.BellState(args.state).vector
-        bath_a, bath_b = spinbath.identical_bath(bath)
+    rows = [[_fmt(float(t)), _fmt(r.real), _fmt(r.imag), _fmt(abs(r))]
+            for t, r in zip(times, factors)]
+    if args.state is not None:
         header += _state_header()
-    rows = []
-    for t, r in zip(times, factors):
-        row = [_fmt(float(t)), _fmt(r.real), _fmt(r.imag), _fmt(abs(r))]
-        if include_state:
-            rho = spinbath.reduced_density(bath_a, bath_b, psi0, float(t))
+        psi0 = symmetry.BellState(args.state).vector
+        rhos = spinbath.reduced_density(bath, bath, psi0, times)
+        for row, rho in zip(rows, rhos):
             row += _state_cells(rho)
-        rows.append(row)
     _write_csv(args.output, header, rows)
 
 
@@ -259,8 +250,8 @@ def _cmd_montecarlo(args) -> None:
         "max_abs_deviation": float(np.max(np.abs(rho_est - analytic))),
         "gamma_analytic": params.gamma_a,
         "gamma_estimate": _corner_gamma_estimate(state, rho0, rho_est),
-        "rho_est": _matrix_pairs(rho_est),
-        "rho_analytic": _matrix_pairs(analytic),
+        "rho_est": _matrix_to_pairs(rho_est),
+        "rho_analytic": _matrix_to_pairs(analytic),
     }
     _write_json(args.output, doc)
 

@@ -148,11 +148,13 @@ def _operators_of(kraus: Union[KrausSet, Sequence[np.ndarray]]):
 
 
 def apply_kraus(kraus: Union[KrausSet, Sequence[np.ndarray]], rho) -> np.ndarray:
-    """sum_mu K_mu rho K_mu^dag for a complete set of operators."""
+    """sum_mu K_mu rho K_mu^dag for a complete set of operators (a raw
+    sequence is checked here; a KrausSet was checked when it was built)."""
     ops = _operators_of(kraus)
-    residual = completeness_residual(ops)
-    if residual > COMPLETENESS_TOL:
-        raise ValueError(f"incomplete Kraus set: residual {residual:.3e}")
+    if not isinstance(kraus, KrausSet):
+        residual = completeness_residual(ops)
+        if residual > COMPLETENESS_TOL:
+            raise ValueError(f"incomplete Kraus set: residual {residual:.3e}")
     rho = validate_density_matrix(rho)
     out = np.zeros_like(rho)
     for k in ops:
@@ -168,10 +170,8 @@ def choi_from_factors(gamma_a: float, gamma_b: float) -> np.ndarray:
     """
     pattern = attenuation_pattern(gamma_a, gamma_b)
     choi = np.zeros((16, 16), dtype=np.complex128)
-    diag_idx = [5 * i for i in range(4)]
-    for i, ri in enumerate(diag_idx):
-        for j, rj in enumerate(diag_idx):
-            choi[ri, rj] = pattern[i, j]
+    doubled = 5 * np.arange(4)
+    choi[np.ix_(doubled, doubled)] = pattern
     return choi
 
 
@@ -224,6 +224,19 @@ def kraus_from_choi(
     return KrausSet(operators=tuple(ops), label="choi-extracted")
 
 
+def _mixer_stack(mixer) -> np.ndarray:
+    """``mixer`` as a validated stack (N, 4, 4) of unitaries; a single 4x4
+    mixer becomes a stack of one."""
+    stack = np.asarray(mixer, dtype=np.complex128)
+    if stack.ndim == 2:
+        stack = stack[None]
+    if stack.ndim != 3 or stack.shape[1:] != (4, 4) \
+            or not linalg.is_unitary(stack, 1e-10):
+        raise ValueError("mixer must be a 4x4 unitary matrix or a stack "
+                         "(N, 4, 4) of them")
+    return stack
+
+
 def mix_kraus(kraus: KrausSet, mixer, label: str = "mixed") -> KrausSet:
     """Transform a four-operator set by a unitary: E_mu = sum_j u_{mu j} K_j.
 
@@ -232,9 +245,7 @@ def mix_kraus(kraus: KrausSet, mixer, label: str = "mixed") -> KrausSet:
     """
     if len(kraus) != 4:
         raise ValueError(f"mixing requires exactly 4 operators, got {len(kraus)}")
-    mixer = linalg.as_square_matrix(mixer, "mixer")
-    if mixer.shape != (4, 4) or not linalg.is_unitary(mixer, 1e-10):
-        raise ValueError("mixer must be a 4x4 unitary matrix")
+    (mixer,) = _mixer_stack(linalg.as_square_matrix(mixer, "mixer"))
     stacked = np.stack(kraus.operators)
     mixed = np.einsum("ij,jkl->ikl", mixer, stacked)
     return KrausSet(operators=tuple(mixed), label=label, gamma=kraus.gamma)
@@ -244,7 +255,7 @@ def channels_equal(a: Union[KrausSet, Sequence[np.ndarray]],
                    b: Union[KrausSet, Sequence[np.ndarray]],
                    tol: float) -> bool:
     """True iff the two sets induce the same channel (Choi matrices agree entrywise)."""
-    return linalg.allclose_abs(choi_of_kraus(a), choi_of_kraus(b), tol)
+    return linalg.max_abs(choi_of_kraus(a) - choi_of_kraus(b)) <= tol
 
 
 def _matrix_to_pairs(k: np.ndarray) -> list[list[float]]:

@@ -1,4 +1,4 @@
-"""Small complex-matrix helpers: products, adjoints, Hermitian spectra, predicates.
+"""Small complex-matrix helpers: adjoints, Hermitian spectra, predicates.
 
 Everything here operates on square complex numpy arrays and is pure. All
 tolerances are explicit parameters with stated defaults; there is no hidden
@@ -11,11 +11,8 @@ import numpy as np
 
 __all__ = [
     "as_square_matrix",
-    "matmul",
     "dagger",
     "max_abs",
-    "allclose_abs",
-    "is_hermitian",
     "is_unitary",
     "hermitian_eig",
     "validate_density_matrix",
@@ -30,15 +27,6 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product of two same-dimension square matrices."""
-    a = as_square_matrix(a, "a")
-    b = as_square_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
 def dagger(a) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a, dtype=np.complex128).conj().T
@@ -47,16 +35,6 @@ def dagger(a) -> np.ndarray:
 def max_abs(a) -> float:
     """Largest entry magnitude (max norm)."""
     return float(np.max(np.abs(np.asarray(a))))
-
-
-def allclose_abs(a, b, tol: float) -> bool:
-    """Entrywise equality within an absolute tolerance."""
-    return max_abs(np.asarray(a) - np.asarray(b)) <= tol
-
-
-def is_hermitian(a, tol: float = 1e-10) -> bool:
-    a = as_square_matrix(a)
-    return max_abs(a - dagger(a)) <= tol
 
 
 def is_unitary(a, tol: float = 1e-10) -> bool:
@@ -78,20 +56,19 @@ def hermitian_eig(a, herm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     making the output deterministic for reproducible downstream extraction.
     """
     a = as_square_matrix(a)
-    if not is_hermitian(a, herm_tol):
+    if max_abs(a - dagger(a)) > herm_tol:
         raise ValueError("matrix is not Hermitian within tolerance "
                          f"{herm_tol:g}")
     vals, vecs = np.linalg.eigh((a + dagger(a)) / 2.0)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-    for k in range(vecs.shape[1]):
-        v = vecs[:, k]
-        j = int(np.argmax(np.abs(v)))
-        pivot = v[j]
-        if abs(pivot) > 0.0:
-            vecs[:, k] = v * (np.conj(pivot) / abs(pivot))
-    return vals, vecs
+    pivot = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    # np.hypot rounds like abs() of a complex scalar; np.abs of an array may not
+    mag = np.hypot(pivot.real, pivot.imag)
+    phase = np.divide(np.conj(pivot), mag, out=np.ones_like(pivot),
+                      where=mag > 0.0)
+    return vals, vecs * phase
 
 
 def validate_density_matrix(

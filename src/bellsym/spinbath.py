@@ -67,9 +67,10 @@ class BathSpec:
             raise ValueError("omegas must be finite")
         norms = np.abs(alphas) ** 2 + np.abs(betas) ** 2
         worst = int(np.argmax(np.abs(norms - 1.0)))
-        if abs(norms[worst] - 1.0) > 1e-12:
+        # written so that a NaN norm, which argmax picks, fails too
+        if not abs(norms[worst] - 1.0) <= 1e-12:
             raise ValueError(
-                f"spin {worst}: |alpha|^2 + |beta|^2 = {norms[worst]!r} "
+                f"spin {worst}: |alpha|^2 + |beta|^2 = {float(norms[worst])!r} "
                 "must equal 1")
         for name, arr in (("alphas", alphas), ("betas", betas),
                           ("omegas", omegas)):
@@ -124,54 +125,56 @@ def validate_central_state(psi) -> np.ndarray:
     return psi
 
 
-def decoherence_factor(bath: BathSpec, t: float) -> complex:
+def decoherence_factor(bath: BathSpec, t):
     """r(t) for one bath; a finite product of unit-disk factors.
+
+    ``t`` is one time, giving a complex, or an array of times, giving an
+    array of r values of the same shape; each value is bitwise the one its
+    time gives alone.
 
     At t = 0 every factor is |alpha_k|^2 + |beta_k|^2 = 1 by normalization,
     so 1 is returned exactly. For t > 0 the float product may overshoot the
     exact-arithmetic bound |r| <= 1 by a few ulp; it is rescaled back onto
     the unit disk in that case.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0.0:
-        return 1.0 + 0.0j
-    phases = np.exp(-2j * bath.omegas * t)
+    times = np.asarray(t, dtype=float)
+    if not np.all(times >= 0.0):
+        raise ValueError(f"t must be >= 0, got {times.min()}")
+    flat = times.reshape(-1)
+    phases = np.exp(-2j * bath.omegas * flat[:, None])
     factors = np.abs(bath.alphas) ** 2 * phases \
         + np.abs(bath.betas) ** 2 * phases.conj()
-    value = complex(np.prod(factors))
-    mag = abs(value)
-    if mag > 1.0:
-        value /= mag
-    return value
+    r = np.prod(factors, axis=1)
+    r[flat == 0.0] = 1.0
+    # np.hypot rounds like abs() of one complex scalar; dividing by 1 is exact
+    scale = np.maximum(np.hypot(r.real, r.imag), 1.0)
+    r.real /= scale
+    r.imag /= scale
+    return complex(r[0]) if times.ndim == 0 else r.reshape(times.shape)
 
 
 def decoherence_series(bath: BathSpec, times) -> np.ndarray:
-    """r(t) evaluated on a grid of times (same conventions as
-    :func:`decoherence_factor`)."""
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0):
-        raise ValueError("times must be >= 0")
-    out = np.array([decoherence_factor(bath, float(t)) for t in times])
-    return out
+    """r(t) evaluated on a grid of times: :func:`decoherence_factor` of the
+    grid as an array."""
+    return decoherence_factor(bath, times)
 
 
-def _qubit_factor(r: complex, bits: np.ndarray) -> np.ndarray:
-    """Per-entry factor r / conj(r) / 1 for one qubit's coherence pattern."""
-    out = np.ones((4, 4), dtype=np.complex128)
+def _qubit_factor(r, bits: np.ndarray) -> np.ndarray:
+    """Per-entry factor r / conj(r) / 1 for one qubit's coherence pattern,
+    one 4x4 block per value of ``r``."""
+    r = np.asarray(r)[..., None, None]
     up_down = (bits[:, None] == 0) & (bits[None, :] == 1)
     down_up = (bits[:, None] == 1) & (bits[None, :] == 0)
-    out[up_down] = r
-    out[down_up] = np.conj(r)
-    return out
+    return np.where(up_down, r, np.where(down_up, np.conj(r), 1.0))
 
 
-def reduced_density(bath_a: BathSpec, bath_b: BathSpec, psi0, t: float) -> np.ndarray:
+def reduced_density(bath_a: BathSpec, bath_b: BathSpec, psi0, t) -> np.ndarray:
     """Reduced two-qubit state after tracing out both baths at time t.
 
     Coherences of |psi0><psi0| pick up r1, r2, their conjugates and products
     according to which qubits flip between the bra and ket basis states;
-    populations are untouched.
+    populations are untouched. ``t`` is one time, giving a 4x4 matrix, or a
+    grid of T times, giving shape (T, 4, 4).
     """
     psi0 = validate_central_state(psi0)
     r1 = decoherence_factor(bath_a, t)

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import linalg
-from .kraus import KrausFactors
+from .kraus import KrausFactors, _mixer_stack
 from .rng import (FEASIBLE_SCAN, HAAR_SCAN, OPT_RESTART, derived_rng,
                   item_rngs)
 
@@ -165,27 +165,11 @@ def is_exchange_symmetric(rho, tol: float = 1e-9) -> tuple[bool, float]:
     Returns ``(asymmetry <= tol, asymmetry)`` where asymmetry is the
     Frobenius norm of S rho S - rho. Note that a state supported purely on
     the B4 ray is swap-invariant as a density matrix even though its vector
-    is antisymmetric.
-
-    For pure inputs the result is cross-checked against the amplitude
-    pattern test (middle components equal): for a unit vector v,
-    ||S rho S - rho||_F^2 = 2*(1 - (1 - q)^2) with q = |v_1 - v_2|^2, so the
-    two tests coincide away from the antisymmetric ray.
+    is antisymmetric. For a pure state with unit vector v the squared
+    asymmetry is 2 q (2 - q) with q = |v_1 - v_2|^2.
     """
     rho = linalg.validate_density_matrix(rho)
     asym = float(np.linalg.norm(_swap_conjugate(rho) - rho))
-
-    purity = float(np.trace(rho @ rho).real)
-    if abs(purity - 1.0) <= 1e-10:
-        _, vecs = linalg.hermitian_eig(rho)
-        v = vecs[:, 0]
-        q = abs(v[1] - v[2]) ** 2
-        predicted_sq = max(0.0, 2.0 * (1.0 - (1.0 - q) ** 2))
-        if abs(asym**2 - predicted_sq) > 1e-7:
-            raise RuntimeError(
-                "internal inconsistency: swap test and pure-state pattern "
-                f"test disagree (asym^2={asym**2:.3e}, "
-                f"pattern={predicted_sq:.3e})")
     return asym <= tol, asym
 
 
@@ -209,19 +193,6 @@ def _coerce_bell(bell: Union[BellState, str]) -> BellState:
     if isinstance(bell, BellState):
         return bell
     return BellState(str(bell))
-
-
-def _mixer_stack(mixer) -> np.ndarray:
-    """``mixer`` as a validated stack (N, 4, 4) of unitaries; a single 4x4
-    mixer becomes a stack of one."""
-    stack = np.asarray(mixer, dtype=np.complex128)
-    if stack.ndim == 2:
-        stack = stack[None]
-    if stack.ndim != 3 or stack.shape[1:] != (4, 4) \
-            or not linalg.is_unitary(stack, 1e-10):
-        raise ValueError("mixer must be a 4x4 unitary matrix or a stack "
-                         "(N, 4, 4) of them")
-    return stack
 
 
 # Class codes of _outcomes, indexing _CLASSES; a negligible outcome has no
@@ -396,12 +367,9 @@ def hermitian_from_params(theta: Sequence[float], dim: int) -> np.ndarray:
         raise ValueError(f"need {dim * dim} parameters, got {theta.size}")
     h = np.zeros((dim, dim), dtype=np.complex128)
     h[np.diag_indices(dim)] = theta[:dim]
-    k = dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            h[i, j] = theta[k] + 1j * theta[k + 1]
-            h[j, i] = np.conj(h[i, j])
-            k += 2
+    upper = np.triu_indices(dim, 1)
+    h[upper] = theta[dim::2] + 1j * theta[dim + 1::2]
+    h[upper[::-1]] = np.conj(h[upper])
     return h
 
 

@@ -39,7 +39,8 @@ class TestGammaFactor:
     def test_asymptotic_limit(self):
         assert 0.0 < gamma_factor(1.0, 100.0) < 1e-20
 
-    @pytest.mark.parametrize("rate,time", [(-1.0, 1.0), (1.0, -2.0)])
+    @pytest.mark.parametrize("rate,time", [(-1.0, 1.0), (1.0, -2.0),
+                                           (np.nan, 1.0), (1.0, np.nan)])
     def test_negative_inputs_raise(self, rate, time):
         with pytest.raises(ValueError):
             gamma_factor(rate, time)
@@ -185,6 +186,13 @@ class TestMonteCarlo:
     def test_zero_trajectories_rejected(self):
         with pytest.raises(ValueError, match="n_trajectories"):
             NoiseTrajectoryConfig(n_trajectories=0, dt=0.1, seed=0)
+
+    def test_infinite_step_count_rejected(self):
+        # time/dt overflows to infinity, which has no integer step count
+        params = ChannelParams.identical_rates(1.0, 1.0)
+        cfg = NoiseTrajectoryConfig(n_trajectories=2, dt=5e-324, seed=0)
+        with pytest.raises(ValueError, match="finite step count"):
+            monte_carlo_dephasing(BellState.B1.density(), params, cfg)
 
     def test_seed_determinism(self, rng):
         rho = random_density_matrix(rng)

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellsym
 from bellsym import kraus, spinbath, symmetry
 from bellsym.cli import main
 from bellsym.kraus import CompletePositivityError
@@ -240,6 +243,30 @@ class TestSpinbathCommand:
     def test_missing_bath_source_is_usage_error(self):
         assert main(["spinbath", "--t-max", "1.0"]) == 2
 
+    def test_nan_amplitude_in_bath_file_exit_3(self, tmp_path, capsys):
+        # Python's json module reads NaN; the bath spec must reject it
+        bath_file = tmp_path / "nan.json"
+        bath_file.write_text('{"spins": [{"alpha": [NaN, 0], '
+                             '"beta": [0.7071067811865476, 0], "omega": 1}]}')
+        out = tmp_path / "sb.csv"
+        code = main(["spinbath", "--bath-file", str(bath_file),
+                     "--t-max", "1.0", "-o", str(out)])
+        assert code == 3
+        assert "spin 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [
+    ["--seed", "1", "spinbath", "--n-spins", "3", "--n-points", "3"],
+    ["evolve", "--state", "B1", "--rate", "1.0", "--n-points", "3"],
+])
+def test_non_finite_t_max_is_usage_error(tmp_path, capsys, command, t_max):
+    out = tmp_path / "grid.csv"
+    assert main(command + [f"--t-max={t_max}", "-o", str(out)]) == 2
+    assert "--t-max must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestMonteCarloCommand:
     def test_report_contents(self, tmp_path):
@@ -277,6 +304,15 @@ class TestMonteCarloCommand:
         assert not out.exists()
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_infinite_step_count_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "mc.json"
+        code = main(["montecarlo", "--state", "B1", "--rate", "1", "--time",
+                     "1", "--dt", "5e-324", "--n-trajectories", "2",
+                     "-o", str(out)])
+        assert code == 2
+        assert "finite step count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_trajectories_is_usage_error(self):
         code = main(["montecarlo", "--state", "B1", "--rate", "1.0",
                      "--time", "1.0", "--n-trajectories", "0"])
@@ -285,10 +321,13 @@ class TestMonteCarloCommand:
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "kraus.json"
+    # the child imports the same bellsym as this process, installed or not
+    source = str(Path(bellsym.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bellsym", "kraus", "--gamma", "0.5",
          "-o", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     doc = json.loads(out.read_text())
     assert doc["schema"] == "bellsym/kraus-set/v1"

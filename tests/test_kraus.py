@@ -263,6 +263,17 @@ class TestMixKraus:
         with pytest.raises(ValueError, match="unitary"):
             mix_kraus(canonical_kraus(0.5), 2.0 * np.eye(4))
 
+    def test_only_one_4x4_unitary_is_a_mixer(self):
+        kset = canonical_kraus(0.5)
+        nearly = np.eye(4, dtype=complex)
+        nearly[2, 1] = 1e-6
+        with pytest.raises(ValueError, match="unitary"):
+            mix_kraus(kset, nearly)
+        with pytest.raises(ValueError, match="unitary"):
+            mix_kraus(kset, np.eye(3))
+        with pytest.raises(ValueError, match="square"):
+            mix_kraus(kset, np.stack([np.eye(4), np.eye(4)]))
+
     def test_wrong_set_size_rejected(self):
         single = KrausSet(operators=(np.eye(4),), label="unitary-channel")
         with pytest.raises(ValueError, match="exactly 4"):

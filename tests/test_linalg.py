@@ -2,38 +2,9 @@ import numpy as np
 import pytest
 
 from bellsym import linalg
-from bellsym.kraus import canonical_kraus
 from bellsym.symmetry import unitary_from_generator
 
 from conftest import random_density_matrix, random_hermitian
-
-
-SIGMA_Z = np.diag([1.0, -1.0])
-
-
-class TestMatmul:
-    def test_identity_leaves_matrix_unchanged(self, rng):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.array_equal(linalg.matmul(np.eye(4), m), m)
-
-    def test_sigma_z_tensor_product(self):
-        za = np.kron(SIGMA_Z, np.eye(2))
-        zb = np.kron(np.eye(2), SIGMA_Z)
-        expected = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
-        assert np.allclose(linalg.matmul(za, zb), expected, atol=0)
-
-    def test_k3_squared_at_full_decoherence(self):
-        # K3 at gamma=0 is +-1/2 on the diagonal, so its square is I/4
-        k3 = canonical_kraus(0.0).operators[2]
-        assert np.allclose(linalg.matmul(k3, k3), 0.25 * np.eye(4), atol=1e-15)
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            linalg.matmul(np.eye(2), np.eye(4))
-
-    def test_non_square_raises(self):
-        with pytest.raises(ValueError, match="square"):
-            linalg.matmul(np.ones((2, 3)), np.ones((3, 2)))
 
 
 class TestDagger:
@@ -112,6 +83,23 @@ class TestHermitianEig:
                 pivot = vecs[np.argmax(np.abs(vecs[:, k])), k]
                 assert pivot.real > 0
                 assert abs(pivot.imag) <= 1e-12 * max(1.0, abs(pivot))
+
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_phase_fold_matches_loop_reference(self, rng, dim):
+        for n in range(100):
+            h = random_hermitian(rng, dim)
+            if n % 10 == 0:     # degenerate spectrum, exact zero pivots
+                h = np.diag(rng.integers(0, 2, dim)).astype(complex)
+            vals, vecs = np.linalg.eigh(h)
+            order = np.argsort(-vals, kind="stable")
+            expected = vecs[:, order]
+            for k in range(dim):
+                v = expected[:, k]
+                pivot = v[int(np.argmax(np.abs(v)))]
+                if abs(pivot) > 0.0:
+                    expected[:, k] = v * (np.conj(pivot) / abs(pivot))
+            _, got = linalg.hermitian_eig(h)
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestIsUnitary:

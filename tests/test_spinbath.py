@@ -34,6 +34,18 @@ class TestBathSpec:
             BathSpec(alphas=np.array([1.0 + 0j]), betas=np.array([1.0 + 0j]),
                      omegas=np.array([0.5]))
 
+    def test_rejects_nan_amplitude(self):
+        # argmax picks the NaN norm, which must fail the check, not pass it
+        amp = 1.0 / math.sqrt(2.0)
+        with pytest.raises(ValueError, match="spin 1"):
+            BathSpec(alphas=np.array([amp, np.nan]), betas=np.array([amp, amp]),
+                     omegas=np.array([0.5, 0.5]))
+        doc = {"spins": [{"alpha": [amp, 0.0], "beta": [amp, 0.0], "omega": 1.0},
+                         {"alpha": [float("nan"), 0.0], "beta": [amp, 0.0],
+                          "omega": 1.0}]}
+        with pytest.raises(ValueError, match="spin 1"):
+            BathSpec.from_json_dict(doc)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
             BathSpec(alphas=np.array([], dtype=complex),
@@ -104,6 +116,52 @@ class TestDecoherenceFactor:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             decoherence_factor(single_spin_bath(), -1.0)
+
+    @pytest.mark.parametrize("times", [np.nan, [0.0, np.nan], [1.0, -0.5]])
+    def test_nan_or_negative_time_in_grid_rejected(self, times):
+        with pytest.raises(ValueError, match=">= 0"):
+            decoherence_factor(single_spin_bath(), times)
+
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_grid_is_bitwise_per_time_values(self, equal):
+        bath = random_bath(12, seed=21, equal_amplitudes=equal)
+        times = np.concatenate([[0.0], np.linspace(0.0, 40.0, 59), [1e-9]])
+        grid = decoherence_factor(bath, times)
+        singles = np.array([decoherence_factor(bath, float(t)) for t in times])
+        assert grid.shape == times.shape and grid[0] == 1.0
+        assert grid.tobytes() == singles.tobytes()
+        square = decoherence_factor(bath, times[:-1].reshape(6, 10))
+        assert square.tobytes() == grid[:-1].tobytes()
+
+    def test_matches_scalar_loop_reference(self, rng):
+        # amplitudes normalized up to 4e-13 make |r| overshoot 1, so the
+        # rescaling is exercised too
+        rescaled = 0
+        for k in range(1, 9):
+            w = rng.uniform(0.0, 1.0, k)
+            bath = BathSpec(
+                alphas=np.sqrt(w) * np.exp(2j * np.pi * rng.uniform(size=k))
+                * (1 + 4e-13),
+                betas=np.sqrt(1 - w) * np.exp(2j * np.pi * rng.uniform(size=k))
+                * (1 + 4e-13),
+                omegas=rng.uniform(0.0, 1.0, k))
+            times = np.concatenate([[0.0], rng.uniform(0.0, 1e-8, 200),
+                                    rng.uniform(0.0, 5.0, 40)])
+            expected = []
+            for t in times:
+                value = 1.0 + 0.0j
+                if t > 0.0:
+                    phases = np.exp(-2j * bath.omegas * t)
+                    value = complex(np.prod(
+                        np.abs(bath.alphas) ** 2 * phases
+                        + np.abs(bath.betas) ** 2 * phases.conj()))
+                    if abs(value) > 1.0:
+                        value /= abs(value)
+                        rescaled += 1
+                expected.append(value)
+            got = decoherence_factor(bath, times)
+            assert got.tobytes() == np.array(expected).tobytes()
+        assert rescaled > 0
 
     def test_series_matches_scalar(self):
         bath = random_bath(10, seed=3, equal_amplitudes=False)
@@ -180,6 +238,19 @@ class TestReducedDensity:
         assert rho[1, 2] == pytest.approx(rho0[1, 2] * r1 * np.conj(r2),
                                           abs=1e-15)
         assert rho[0, 3] == pytest.approx(rho0[0, 3] * r1 * r2, abs=1e-15)
+
+    @pytest.mark.parametrize("bell", list(BellState))
+    def test_grid_is_bitwise_per_time_states(self, bell):
+        bath_a = random_bath(7, seed=30, equal_amplitudes=False)
+        bath_b = random_bath(4, seed=31, equal_amplitudes=True)
+        times = np.concatenate([[0.0], np.linspace(0.0, 9.0, 23)])
+        for pair in ((bath_a, bath_b), (bath_b, bath_a), (bath_a, bath_a)):
+            grid = reduced_density(*pair, bell.vector, times)
+            singles = np.stack([reduced_density(*pair, bell.vector, float(t))
+                                for t in times])
+            assert grid.shape == (times.size, 4, 4)
+            assert grid.tobytes() == singles.tobytes()
+            assert np.array_equal(grid[0], bell.density())
 
     def test_rejects_unnormalized_central_state(self):
         bath_a, bath_b = identical_bath(single_spin_bath())

@@ -152,6 +152,18 @@ class TestIsExchangeSymmetric:
             is_exchange_symmetric(rho)      # must not raise
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
+       .filter(lambda xs: sum(x * x for x in xs) > 1e-3))
+def test_pure_state_asymmetry_closed_form(parts):
+    # ||S rho S - rho||_F^2 = 2 q (2 - q) with q = |v_1 - v_2|^2
+    v = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    v /= np.linalg.norm(v)
+    _, asym = is_exchange_symmetric(np.outer(v, v.conj()))
+    q = abs(v[1] - v[2]) ** 2
+    assert abs(asym**2 - 2.0 * q * (2.0 - q)) <= 1e-7
+
+
 class TestSymmetricStateForm:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="must equal 1"):
@@ -409,6 +421,20 @@ class TestUnitaryConstructions:
         assert np.max(np.abs(h - h.conj().T)) == 0
         with pytest.raises(ValueError, match="parameters"):
             hermitian_from_params(theta[:5], 4)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_hermitian_from_params_matches_loop_reference(self, rng, dim):
+        theta = rng.standard_normal(dim * dim)
+        theta[::3] = 0.0
+        expected = np.diag(theta[:dim]).astype(complex)
+        k = dim
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                expected[i, j] = theta[k] + 1j * theta[k + 1]
+                expected[j, i] = np.conj(expected[i, j])
+                k += 2
+        got = hermitian_from_params(theta, dim)
+        assert got.tobytes() == expected.tobytes()
 
     def test_expi_hermitian_unitary(self, rng):
         h = random_hermitian(rng, 4)
