@@ -93,44 +93,48 @@ class NoiseTrajectoryConfig:
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1, got "
                              f"{self.n_trajectories}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not (0 <= self.seed < _MAX_SEED):
             raise ValueError("seed must be an unsigned 64-bit integer")
         if not np.isfinite(self.mu) or self.mu == 0.0:
             raise ValueError(f"mu must be finite and nonzero, got {self.mu}")
 
 
-def gamma_factor(rate: float, time: float) -> float:
-    """Single-qubit coherence attenuation exp(-time * rate / 2)."""
-    if not (rate >= 0.0 and time >= 0.0):
-        raise ValueError(f"rate and time must be >= 0, got ({rate}, {time})")
-    return float(np.exp(-time * rate / 2.0))
+def gamma_factor(rate: float, time):
+    """Coherence attenuation exp(-time * rate / 2) of a time or of an array."""
+    t = np.asarray(time, dtype=float)
+    for name, v in (("rate", rate), ("time", t)):
+        if not np.all((0.0 <= v) & (v < np.inf)):
+            raise ValueError(f"{name} must be finite and >= 0, got {v}")
+    with np.errstate(over="ignore"):    # -t * rate may overflow to -inf
+        g = np.exp(-t * rate / 2.0)
+    return float(g) if g.ndim == 0 else g
 
 
-def attenuation_pattern(gamma_a: float, gamma_b: float) -> np.ndarray:
+def attenuation_pattern(gamma_a, gamma_b) -> np.ndarray:
     """4x4 entrywise attenuation factors for the dephasing map.
 
     Entry (i, j) is gamma_a**[qubit A differs] * gamma_b**[qubit B differs];
-    the diagonal is identically 1.
+    the diagonal is identically 1. Arrays of factors broadcast together and
+    give one pattern per factor pair, shape (..., 4, 4).
     """
     for name, g in (("gamma_a", gamma_a), ("gamma_b", gamma_b)):
-        if not np.isfinite(g) or abs(g) > 1.0:
+        if not np.all(np.abs(g) <= 1.0):
             raise ValueError(f"{name} must lie in [-1, 1], got {g}")
     differ_a = _SIGN_A[:, None] != _SIGN_A[None, :]
     differ_b = _SIGN_B[:, None] != _SIGN_B[None, :]
-    pattern = np.ones((4, 4))
-    pattern[differ_a] *= gamma_a
-    pattern[differ_b] *= gamma_b
-    return pattern
+    return (np.where(differ_a, np.asarray(gamma_a)[..., None, None], 1.0)
+            * np.where(differ_b, np.asarray(gamma_b)[..., None, None], 1.0))
 
 
-def dephase_with_factors(rho, gamma_a: float, gamma_b: float) -> np.ndarray:
+def dephase_with_factors(rho, gamma_a, gamma_b) -> np.ndarray:
     """Apply the dephasing map with explicitly given attenuation factors.
 
     Factors may lie anywhere in [-1, 1]; the induced map stays completely
     positive on that range. This entry point lets a real decoherence factor
-    from a quantum bath stand in for exp(-t*Gamma/2) directly.
+    from a quantum bath stand in for exp(-t*Gamma/2) directly. Arrays of
+    factors give the states (..., 4, 4) of one ``rho``, validated once.
     """
     rho = validate_density_matrix(rho)
     return attenuation_pattern(gamma_a, gamma_b) * rho

@@ -112,14 +112,12 @@ def _time_grid(args) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _cmd_evolve(args) -> None:
-    state = symmetry.BellState(args.state)
+    rho0 = symmetry.BellState(args.state).density()
     times = _time_grid(args)
-    rho0 = state.density()
-    rows = []
-    for t in times:
-        params = channel.ChannelParams.identical_rates(args.rate, float(t))
-        rho = channel.apply_dephasing(rho0, params)
-        rows.append([_fmt(float(t)), _fmt(params.gamma_a)] + _state_cells(rho))
+    gammas = channel.gamma_factor(args.rate, times)
+    rhos = channel.dephase_with_factors(rho0, gammas, gammas)
+    rows = [[_fmt(float(t)), _fmt(float(g))] + _state_cells(rho)
+            for t, g, rho in zip(times, gammas, rhos)]
     _write_csv(args.output, ["t", "gamma"] + _state_header(), rows)
 
 
@@ -148,6 +146,9 @@ def _parse_pattern(text: str) -> symmetry.ConstraintPattern:
 def _cmd_optimize(args) -> None:
     if args.scan_samples < 1:
         raise ValueError(f"--scan-samples must be >= 1, got {args.scan_samples}")
+    if not (np.isfinite(args.agreement_tol) and args.agreement_tol >= 0.0):
+        raise ValueError("--agreement-tol must be finite and >= 0, got "
+                         f"{args.agreement_tol}")
     pattern = _parse_pattern(args.pattern)
     bell = symmetry.BellState(args.state)
     p_opt, mixer = symmetry.maximize_symmetric_probability(

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -426,36 +425,38 @@ def feasible_unitary(pattern: ConstraintPattern, params) -> np.ndarray:
     c[free] = c_free / np.linalg.norm(c_free)
 
     basis = _orthonormal_complement(c)
-    v3 = expi_hermitian(hermitian_from_params(x[2 * m:], 3))
-    u = np.empty((4, 4), dtype=np.complex128)
-    u[:, 1] = c
-    u[:, [0, 2, 3]] = basis @ v3
-    return u
+    w = basis @ expi_hermitian(hermitian_from_params(x[2 * m:], 3))
+    return np.concatenate([w[:, :1], c[:, None], w[:, 1:]], axis=1)
+
+
+def _feasible_from_normals(pattern: ConstraintPattern,
+                           z: np.ndarray) -> np.ndarray:
+    """Feasible mixers (..., 4, 4) from normals (..., 2m + 24), m free rows:
+    the real and imaginary parts of column 2 on the free rows, then those
+    of a 4x3 Ginibre matrix for the orthogonal completion."""
+    free = _free_indices(pattern)
+    m = len(free)
+    c_free = z[..., :m] + 1j * z[..., m:2 * m]
+    # the 1-d np.linalg.norm computes exactly this; its axis form may not
+    x, y = c_free.real[..., None], c_free.imag[..., None]
+    norm = np.sqrt(np.swapaxes(x, -1, -2) @ x
+                   + np.swapaxes(y, -1, -2) @ y)[..., 0]
+    fallback = norm < 1e-12
+    c = np.zeros(z.shape[:-1] + (4,), dtype=np.complex128)
+    c[..., free] = (np.where(fallback, 1.0, c_free)
+                    / np.where(fallback, math.sqrt(m), norm))
+    g = z[..., 2 * m:].reshape(z.shape[:-1] + (2, 4, 3))
+    g = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / math.sqrt(2.0)
+    q = _phase_fixed_q(g - c[..., :, None] * (c.conj()[..., None, :] @ g))
+    return np.concatenate([q[..., :1], c[..., None], q[..., 1:]], axis=-1)
 
 
 def sample_feasible_unitary(pattern: ConstraintPattern,
                             rng: np.random.Generator) -> np.ndarray:
     """Random mixer respecting the pattern (column 2 Haar on the free rows,
     the orthogonal completion Haar on the remaining Stiefel freedom)."""
-    free = _free_indices(pattern)
-    m = len(free)
-    z = rng.standard_normal((2, m))
-    c_free = z[0] + 1j * z[1]
-    norm = np.linalg.norm(c_free)
-    if norm < 1e-12:
-        c_free = np.ones(m, dtype=np.complex128)
-        norm = math.sqrt(m)
-    c = np.zeros(4, dtype=np.complex128)
-    c[free] = c_free / norm
-
-    g = rng.standard_normal((2, 4, 3))
-    g = (g[0] + 1j * g[1]) / math.sqrt(2.0)
-    g = g - np.outer(c, c.conj() @ g)
-
-    u = np.empty((4, 4), dtype=np.complex128)
-    u[:, 1] = c
-    u[:, [0, 2, 3]] = _phase_fixed_q(g)
-    return u
+    m = len(pattern.free_rows)
+    return _feasible_from_normals(pattern, rng.standard_normal(2 * m + 24))
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +552,15 @@ class ScanResult:
 SCAN_CHUNK = 256
 
 
-def _scan(bell, gamma, n_samples, seed, stream, draw_mixers, bin_width=0.01,
+def _scan(bell, gamma, n_samples, seed, stream, shape, build, bin_width=0.01,
           tol=1e-9) -> ScanResult:
     """Histogram the symmetric probability of ``n_samples`` random mixers.
 
-    Sample ``i`` draws from item ``i`` of ``stream`` under ``seed``;
-    ``draw_mixers(rngs, m)`` returns the (m, 4, 4) mixers of the next ``m``
-    generators of ``rngs``. Samples are evaluated ``SCAN_CHUNK`` at a time
-    and the mean is a running sum in index order, so the result does not
-    depend on the chunking.
+    Sample ``i`` fills an array of ``shape`` with standard normals from
+    item ``i`` of ``stream`` under ``seed``; ``build`` turns a stack
+    (m, *shape) of them into (m, 4, 4) mixers. Samples are evaluated
+    ``SCAN_CHUNK`` at a time and the mean is a running sum in index order,
+    so the result does not depend on the chunking.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -575,8 +576,10 @@ def _scan(bell, gamma, n_samples, seed, stream, draw_mixers, bin_width=0.01,
     total = 0.0
     rngs = item_rngs(seed, stream, range(n_samples))
     for start in range(0, n_samples, SCAN_CHUNK):
-        mixers = draw_mixers(rngs, min(SCAN_CHUNK, n_samples - start))
-        p = symmetric_probability(bell, gamma, mixers, tol=tol)
+        z = np.empty((min(SCAN_CHUNK, n_samples - start),) + shape)
+        for row, rng in zip(z, rngs):
+            rng.standard_normal(out=row)
+        p = symmetric_probability(bell, gamma, build(z), tol=tol)
         p_max = max(p_max, p.max())
         p_min = min(p_min, p.min())
         total = np.concatenate(([total], p)).cumsum()[-1]
@@ -587,13 +590,6 @@ def _scan(bell, gamma, n_samples, seed, stream, draw_mixers, bin_width=0.01,
         bin_width=bin_width, p_max=float(p_max), p_min=float(p_min),
         p_mean=float(total / n_samples), counts=tuple(int(c) for c in counts),
     )
-
-
-def _haar_mixers(rngs, m: int) -> np.ndarray:
-    z = np.empty((m, 2, 4, 4))
-    for row, rng in zip(z, rngs):
-        rng.standard_normal(out=row)
-    return _haar_from_normals(z)
 
 
 def brute_force_symmetry_scan(
@@ -610,8 +606,8 @@ def brute_force_symmetry_scan(
     the sample index, and the reduction runs in index order, so the result
     is deterministic for a fixed seed regardless of batching.
     """
-    return _scan(bell, gamma, n_samples, seed, HAAR_SCAN, _haar_mixers,
-                 bin_width, tol)
+    return _scan(bell, gamma, n_samples, seed, HAAR_SCAN, (2, 4, 4),
+                 _haar_from_normals, bin_width, tol)
 
 
 def feasible_symmetry_scan(
@@ -624,7 +620,6 @@ def feasible_symmetry_scan(
     """Like :func:`brute_force_symmetry_scan`, over random mixers that
     respect ``pattern`` (:func:`sample_feasible_unitary`): an independent
     sampling check of :func:`maximize_symmetric_probability`."""
-    def draw(rngs, m):
-        return np.stack([sample_feasible_unitary(pattern, rng)
-                         for rng in islice(rngs, m)])
-    return _scan(bell, gamma, n_samples, seed, FEASIBLE_SCAN, draw)
+    return _scan(bell, gamma, n_samples, seed, FEASIBLE_SCAN,
+                 (2 * len(pattern.free_rows) + 24,),
+                 lambda z: _feasible_from_normals(pattern, z))

@@ -39,11 +39,36 @@ class TestGammaFactor:
     def test_asymptotic_limit(self):
         assert 0.0 < gamma_factor(1.0, 100.0) < 1e-20
 
-    @pytest.mark.parametrize("rate,time", [(-1.0, 1.0), (1.0, -2.0),
-                                           (np.nan, 1.0), (1.0, np.nan)])
+    @pytest.mark.parametrize("rate,time", [
+        (-1.0, 1.0), (1.0, -2.0), (np.nan, 1.0), (1.0, np.nan),
+        # -0 * inf is NaN, so an infinite rate at t = 0 must not pass
+        pytest.param(np.inf, 0.0, id="inf-0.0"),
+        pytest.param(1.0, np.inf, id="1.0-inf"),
+        pytest.param(np.inf, np.array([0.0, 1.0]), id="inf-grid"),
+        pytest.param(1.0, np.array([0.0, np.nan]), id="1.0-grid_nan"),
+        pytest.param(1.0, np.array([0.0, np.inf]), id="1.0-grid_inf"),
+        pytest.param(1.0, np.array([1.0, -2.0]), id="1.0-grid_negative"),
+    ])
     def test_negative_inputs_raise(self, rate, time):
         with pytest.raises(ValueError):
             gamma_factor(rate, time)
+
+    @pytest.mark.parametrize("rate", [0.0, 5e-324, 0.7, 2.1, 1e300])
+    def test_grid_matches_per_time_calls(self, rate):
+        times = np.concatenate(([0.0], np.linspace(1e-3, 40.0, 100)))
+        grid = gamma_factor(rate, times)
+        singles = np.array([gamma_factor(rate, float(t)) for t in times])
+        assert grid.shape == times.shape
+        assert grid.tobytes() == singles.tobytes()
+        assert grid[0] == 1.0
+        square = gamma_factor(rate, times[1:].reshape(20, 5))
+        assert square.tobytes() == grid[1:].tobytes()
+
+    def test_overflowing_product_is_silent(self):
+        # -t * rate overflows to -inf; exp of it is an exact 0, no warning
+        assert gamma_factor(1e300, 1e300) == 0.0
+        assert np.array_equal(gamma_factor(1e300, np.array([0.0, 1e300])),
+                              [1.0, 0.0])
 
 
 class TestChannelParams:
@@ -104,6 +129,35 @@ class TestApplyDephasing:
         rho = random_density_matrix(rng)
         with pytest.raises(ValueError):
             dephase_with_factors(rho, 1.5, 0.5)
+
+    def test_factor_grid_matches_per_factor_calls(self, rng):
+        rho = random_density_matrix(rng)
+        ga = np.array([1.0, 0.9, 0.5, 0.0, -0.3, 0.123456789])
+        gb = np.array([1.0, 0.2, 0.5, 0.7, -0.8, 0.987654321])
+        grid = dephase_with_factors(rho, ga, gb)
+        singles = np.stack([dephase_with_factors(rho, float(a), float(b))
+                            for a, b in zip(ga, gb)])
+        assert grid.shape == (6, 4, 4)
+        assert grid.tobytes() == singles.tobytes()
+        assert np.array_equal(grid[0], rho)
+        patterns = attenuation_pattern(ga, gb)
+        assert patterns.tobytes() == np.stack(
+            [bit_pattern_oracle(a, b) for a, b in zip(ga, gb)]).tobytes()
+
+    def test_factor_grid_validated_entrywise(self, rng):
+        rho = random_density_matrix(rng)
+        with pytest.raises(ValueError, match="gamma_b"):
+            dephase_with_factors(rho, np.array([0.5, 0.5]),
+                                 np.array([0.5, np.nan]))
+
+    def test_time_grid_matches_apply_dephasing(self, rng):
+        rho = random_density_matrix(rng)
+        times = np.array([0.0, 0.25, 1.0, 3.5])
+        grid = dephase_with_factors(rho, gamma_factor(0.7, times),
+                                    gamma_factor(2.1, times))
+        singles = np.stack([apply_dephasing(rho, ChannelParams(0.7, 2.1, t))
+                            for t in times])
+        assert grid.tobytes() == singles.tobytes()
 
     def test_negative_factor_allowed(self, rng):
         # real decoherence factors from a quantum bath may be negative
@@ -186,6 +240,11 @@ class TestMonteCarlo:
     def test_zero_trajectories_rejected(self):
         with pytest.raises(ValueError, match="n_trajectories"):
             NoiseTrajectoryConfig(n_trajectories=0, dt=0.1, seed=0)
+
+    @pytest.mark.parametrize("dt", [np.inf, np.nan, -np.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            NoiseTrajectoryConfig(n_trajectories=2, dt=dt, seed=0)
 
     def test_infinite_step_count_rejected(self):
         # time/dt overflows to infinity, which has no integer step count

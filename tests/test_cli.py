@@ -65,6 +65,25 @@ class TestEvolve:
                      "--t-max", "1.0"])
         assert code == 2
 
+    @pytest.mark.parametrize("rate", ["inf", "nan", "-1"])
+    def test_bad_rate_is_usage_error(self, tmp_path, capsys, rate):
+        out = tmp_path / "evolve.csv"
+        code = main(["evolve", "--state", "B1", f"--rate={rate}",
+                     "--t-max", "1.0", "--n-points", "3", "-o", str(out)])
+        assert code == 2
+        assert "rate must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_rate_times_time_is_silent(self, tmp_path, capsys):
+        # rate * t overflows; the factor is an exact 0 with no warning
+        out = tmp_path / "evolve.csv"
+        code = main(["evolve", "--state", "B3", "--rate", "1e300",
+                     "--t-max", "1e300", "--n-points", "3", "-o", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        assert list(rows[:, 1]) == [1.0, 0.0, 0.0]
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["evolve", "--state", "B1", "--rate", "0.7", "--t-max", "3.0",
                 "--n-points", "17"]
@@ -173,6 +192,21 @@ class TestOptimizeCommand:
         code = main(["optimize", "--state", "B3", "--gamma", "0.0",
                      "--pattern", "1", "--budget", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_bad_agreement_tol_is_usage_error(self, tmp_path, capsys,
+                                              monkeypatch, tol):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+        monkeypatch.setattr(symmetry, "maximize_symmetric_probability",
+                            no_search)
+        out = tmp_path / "opt.json"
+        code = main(["optimize", "--state", "B3", "--gamma", "0.0",
+                     "--pattern", "1", "--budget", "1", "--scan-samples", "1",
+                     f"--agreement-tol={tol}", "-o", str(out)])
+        assert code == 2
+        assert "--agreement-tol must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSpinbathCommand:
@@ -311,6 +345,15 @@ class TestMonteCarloCommand:
                      "-o", str(out)])
         assert code == 2
         assert "finite step count" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_dt_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "mc.json"
+        code = main(["montecarlo", "--state", "B1", "--rate", "1", "--time",
+                     "1", "--dt", "inf", "--n-trajectories", "2",
+                     "-o", str(out)])
+        assert code == 2
+        assert "dt must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_trajectories_is_usage_error(self):

@@ -471,6 +471,43 @@ class TestUnitaryConstructions:
             free = [r - 1 for r in pattern.free_rows]
             assert abs(np.linalg.norm(u[free, 1]) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("rows", [(), (1,), (1, 2), (1, 2, 3)])
+    def test_feasible_from_normals_stack_matches_rows(self, rng, rows):
+        pattern = ConstraintPattern.from_rows(rows)
+        m = len(pattern.free_rows)
+        z = rng.standard_normal((40, 2 * m + 24))
+        z[7, :2 * m] = 0.0          # zero-norm column 2: the fallback
+        stacked = symmetry._feasible_from_normals(pattern, z)
+        singles = np.stack([symmetry._feasible_from_normals(pattern, row)
+                            for row in z])
+        assert stacked.tobytes() == singles.tobytes()
+        free = [r - 1 for r in pattern.free_rows]
+        assert np.array_equal(stacked[7, free, 1],
+                              np.full(m, 1.0 / math.sqrt(m), dtype=complex))
+
+    @pytest.mark.parametrize("rows", [(), (1,), (1, 2), (1, 2, 3), (2, 4)])
+    def test_sample_feasible_unitary_matches_two_draw_reference(self, rows):
+        """One (2m + 24)-normal draw gives the mixer of the former
+        (2, m) draw followed by a (2, 4, 3) draw, bit for bit."""
+        pattern = ConstraintPattern.from_rows(rows)
+        free = [r - 1 for r in pattern.free_rows]
+        for i in range(200):
+            rng = derived_rng(17, FEASIBLE_SCAN, i)
+            z = rng.standard_normal((2, len(free)))
+            c_free = z[0] + 1j * z[1]
+            c = np.zeros(4, dtype=complex)
+            c[free] = c_free / np.linalg.norm(c_free)
+            g = rng.standard_normal((2, 4, 3))
+            g = (g[0] + 1j * g[1]) / SQRT2
+            q, r = np.linalg.qr(g - np.outer(c, c.conj() @ g))
+            d = np.diagonal(r).copy()
+            expected = np.empty((4, 4), dtype=complex)
+            expected[:, 1] = c
+            expected[:, [0, 2, 3]] = q * (d / np.abs(d))
+            got = sample_feasible_unitary(pattern,
+                                          derived_rng(17, FEASIBLE_SCAN, i))
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestMaximize:
     def test_corner_state_attains_unity(self):
