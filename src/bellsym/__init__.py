@@ -16,7 +16,6 @@ from .kraus import (
     apply_kraus,
     canonical_kraus,
     channels_equal,
-    choi_of_channel,
     choi_of_kraus,
     kraus_from_choi,
     mix_kraus,
@@ -32,7 +31,6 @@ from .symmetry import (
     BellState,
     ConstraintPattern,
     OutcomeReport,
-    SymmetricStateForm,
     SymmetryClass,
     brute_force_symmetry_scan,
     haar_unitary,

@@ -52,18 +52,13 @@ class ChannelParams:
     time: float
 
     def __post_init__(self):
-        for name in ("gamma_rate_a", "gamma_rate_b", "time"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        for rate in (self.gamma_rate_a, self.gamma_rate_b):
+            gamma_factor(rate, self.time)
 
     @classmethod
     def identical_rates(cls, rate: float, time: float) -> "ChannelParams":
         """Both baths share one damping rate."""
         return cls(gamma_rate_a=rate, gamma_rate_b=rate, time=time)
-
-    def identical(self) -> bool:
-        return self.gamma_rate_a == self.gamma_rate_b
 
     @property
     def gamma_a(self) -> float:
@@ -156,16 +151,16 @@ def _trajectory_phases(params: ChannelParams, cfg: NoiseTrajectoryConfig,
     dt_eff = params.time / n_steps
     # Field-integral increments have variance (Gamma / mu^2) * dt; the phase
     # is mu times their sum, hence exactly Gaussian with variance Gamma * t.
-    step_std = np.sqrt(
-        np.array([params.gamma_rate_a, params.gamma_rate_b]) / cfg.mu**2
-        * dt_eff
-    )
+    # mu only sets the sign of a step, so mu^2 is never formed: it would
+    # overflow or underflow for |mu| beyond about 1e154 or below 1e-154.
+    rates = np.array([params.gamma_rate_a, params.gamma_rate_b])
+    step = np.copysign(np.sqrt(rates * dt_eff), cfg.mu)
     phases = np.empty((cfg.n_trajectories, 2))
     increments = np.empty((2, n_steps))
     streams = item_rngs(cfg.seed, TRAJECTORY, range(cfg.n_trajectories))
     for i, rng in enumerate(streams):
         rng.standard_normal(out=increments)
-        phases[i] = cfg.mu * step_std * increments.sum(axis=1)
+        phases[i] = step * increments.sum(axis=1)
     return phases
 
 

@@ -60,15 +60,20 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _write_csv(path: str | None, header: list[str], rows) -> None:
+def _write_csv(path: str | None, header: list[str], table) -> None:
+    """Write the rows of the float array ``table``; like a JSON report, a
+    table holding a NaN or an infinity is not written."""
+    if not np.all(np.isfinite(table)):
+        raise NonFiniteOutputError("table not written: it holds a NaN or an "
+                                   "infinity")
     with _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for row in table.tolist():
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 class NonFiniteOutputError(ArithmeticError):
-    """A report holds a NaN or an infinity, which strict JSON cannot carry."""
+    """A report or table holds a NaN or an infinity."""
 
 
 def _write_json(path: str | None, doc: dict) -> None:
@@ -90,12 +95,9 @@ def _state_header() -> list[str]:
     return cols
 
 
-def _state_cells(rho: np.ndarray) -> list[str]:
-    cells = []
-    for entry in np.asarray(rho).reshape(-1):
-        cells.append(_fmt(entry.real))
-        cells.append(_fmt(entry.imag))
-    return cells
+def _state_columns(rhos: np.ndarray) -> np.ndarray:
+    """States (T, 4, 4) as T rows of re, im pairs in _state_header order."""
+    return rhos.reshape(-1, 16).view(np.float64)
 
 
 def _time_grid(args) -> np.ndarray:
@@ -116,9 +118,8 @@ def _cmd_evolve(args) -> None:
     times = _time_grid(args)
     gammas = channel.gamma_factor(args.rate, times)
     rhos = channel.dephase_with_factors(rho0, gammas, gammas)
-    rows = [[_fmt(float(t)), _fmt(float(g))] + _state_cells(rho)
-            for t, g, rho in zip(times, gammas, rhos)]
-    _write_csv(args.output, ["t", "gamma"] + _state_header(), rows)
+    table = np.column_stack([times, gammas, _state_columns(rhos)])
+    _write_csv(args.output, ["t", "gamma"] + _state_header(), table)
 
 
 def _cmd_kraus(args) -> None:
@@ -207,17 +208,16 @@ def _cmd_spinbath(args) -> None:
             equal_amplitudes=(args.amplitudes == "equal"),
             omega_range=(args.omega_min, args.omega_max))
     times = _time_grid(args)
-    factors = spinbath.decoherence_series(bath, times)
+    r = spinbath.decoherence_series(bath, times)
     header = ["t", "r_re", "r_im", "r_abs"]
-    rows = [[_fmt(float(t)), _fmt(r.real), _fmt(r.imag), _fmt(abs(r))]
-            for t, r in zip(times, factors)]
+    # np.hypot rounds like abs() of one complex scalar; np.abs may not
+    columns = [times, r.real, r.imag, np.hypot(r.real, r.imag)]
     if args.state is not None:
         header += _state_header()
         psi0 = symmetry.BellState(args.state).vector
         rhos = spinbath.reduced_density(bath, bath, psi0, times)
-        for row, rho in zip(rows, rhos):
-            row += _state_cells(rho)
-    _write_csv(args.output, header, rows)
+        columns.append(_state_columns(rhos))
+    _write_csv(args.output, header, np.column_stack(columns))
 
 
 def _corner_gamma_estimate(state: symmetry.BellState, rho0: np.ndarray,

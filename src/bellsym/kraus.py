@@ -28,7 +28,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import linalg
-from .channel import ChannelParams, attenuation_pattern
+from .channel import attenuation_pattern
 from .linalg import dagger, validate_density_matrix
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "canonical_kraus",
     "apply_kraus",
     "choi_from_factors",
-    "choi_of_channel",
     "choi_of_kraus",
     "kraus_from_choi",
     "mix_kraus",
@@ -49,6 +48,8 @@ __all__ = [
 ]
 
 COMPLETENESS_TOL = 1e-10
+CHOI_EIG_CUTOFF = 1e-12     # Choi eigenvalues at or below this are noise
+CP_TOL = 1e-9               # a Choi eigenvalue below -CP_TOL is not CP
 KRAUS_SET_SCHEMA = "bellsym/kraus-set/v1"
 
 
@@ -122,7 +123,7 @@ class KrausSet:
             ops.append(k)
         object.__setattr__(self, "operators", tuple(ops))
         residual = completeness_residual(self.operators)
-        if residual > COMPLETENESS_TOL:
+        if not residual <= COMPLETENESS_TOL:
             raise ValueError(
                 "Kraus set violates completeness: residual "
                 f"{residual:.3e} > {COMPLETENESS_TOL:g}")
@@ -153,7 +154,7 @@ def apply_kraus(kraus: Union[KrausSet, Sequence[np.ndarray]], rho) -> np.ndarray
     ops = _operators_of(kraus)
     if not isinstance(kraus, KrausSet):
         residual = completeness_residual(ops)
-        if residual > COMPLETENESS_TOL:
+        if not residual <= COMPLETENESS_TOL:
             raise ValueError(f"incomplete Kraus set: residual {residual:.3e}")
     rho = validate_density_matrix(rho)
     out = np.zeros_like(rho)
@@ -175,11 +176,6 @@ def choi_from_factors(gamma_a: float, gamma_b: float) -> np.ndarray:
     return choi
 
 
-def choi_of_channel(params: ChannelParams) -> np.ndarray:
-    """Choi matrix of the analytic channel at ``params``."""
-    return choi_from_factors(params.gamma_a, params.gamma_b)
-
-
 def _vec(k: np.ndarray) -> np.ndarray:
     # column-stacking: outer index of the 16-vector is the column of k
     return k.T.reshape(16)
@@ -195,30 +191,25 @@ def choi_of_kraus(kraus: Union[KrausSet, Sequence[np.ndarray]]) -> np.ndarray:
     return choi
 
 
-def kraus_from_choi(
-    choi,
-    eig_cutoff: float = 1e-12,
-    cp_tol: float = 1e-9,
-    herm_tol: float = 1e-10,
-) -> KrausSet:
+def kraus_from_choi(choi) -> KrausSet:
     """Extract a Kraus set from a Choi matrix by eigendecomposition.
 
     Each operator is sqrt(lambda_i) times the 4x4 un-stacking of eigenvector
     v_i (column-stacking convention, matching :func:`choi_of_kraus`).
-    Eigenvalues below ``eig_cutoff`` are dropped as numerical noise; an
-    eigenvalue below ``-cp_tol`` means the matrix is not completely positive.
+    Eigenvalues up to ``CHOI_EIG_CUTOFF`` are dropped as numerical noise; an
+    eigenvalue below ``-CP_TOL`` means the matrix is not completely positive.
     """
     choi = linalg.as_square_matrix(choi, "Choi matrix")
     if choi.shape != (16, 16):
         raise ValueError(f"Choi matrix must be 16x16, got {choi.shape}")
-    vals, vecs = linalg.hermitian_eig(choi, herm_tol=herm_tol)
-    if vals[-1] < -cp_tol:
+    vals, vecs = linalg.hermitian_eig(choi)
+    if vals[-1] < -CP_TOL:
         raise CompletePositivityError(
-            f"Choi matrix has eigenvalue {vals[-1]:.3e} < -{cp_tol:g}; "
+            f"Choi matrix has eigenvalue {vals[-1]:.3e} < -{CP_TOL:g}; "
             "the map is not completely positive")
     ops = []
     for lam, v in zip(vals, vecs.T):
-        if lam <= eig_cutoff:
+        if lam <= CHOI_EIG_CUTOFF:
             continue
         ops.append(math.sqrt(lam) * v.reshape(4, 4).T)
     return KrausSet(operators=tuple(ops), label="choi-extracted")
@@ -231,13 +222,13 @@ def _mixer_stack(mixer) -> np.ndarray:
     if stack.ndim == 2:
         stack = stack[None]
     if stack.ndim != 3 or stack.shape[1:] != (4, 4) \
-            or not linalg.is_unitary(stack, 1e-10):
+            or not linalg.is_unitary(stack):
         raise ValueError("mixer must be a 4x4 unitary matrix or a stack "
                          "(N, 4, 4) of them")
     return stack
 
 
-def mix_kraus(kraus: KrausSet, mixer, label: str = "mixed") -> KrausSet:
+def mix_kraus(kraus: KrausSet, mixer) -> KrausSet:
     """Transform a four-operator set by a unitary: E_mu = sum_j u_{mu j} K_j.
 
     The output describes the same channel as the input; only the
@@ -248,7 +239,7 @@ def mix_kraus(kraus: KrausSet, mixer, label: str = "mixed") -> KrausSet:
     (mixer,) = _mixer_stack(linalg.as_square_matrix(mixer, "mixer"))
     stacked = np.stack(kraus.operators)
     mixed = np.einsum("ij,jkl->ikl", mixer, stacked)
-    return KrausSet(operators=tuple(mixed), label=label, gamma=kraus.gamma)
+    return KrausSet(operators=tuple(mixed), label="mixed", gamma=kraus.gamma)
 
 
 def channels_equal(a: Union[KrausSet, Sequence[np.ndarray]],

@@ -120,7 +120,7 @@ def validate_central_state(psi) -> np.ndarray:
     if psi.shape != (4,):
         raise ValueError(f"central state must have 4 amplitudes, got {psi.shape}")
     norm = float(np.vdot(psi, psi).real)
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:
         raise ValueError(f"central state norm^2 = {norm!r} must equal 1")
     return psi
 
@@ -138,10 +138,12 @@ def decoherence_factor(bath: BathSpec, t):
     the unit disk in that case.
     """
     times = np.asarray(t, dtype=float)
-    if not np.all(times >= 0.0):
-        raise ValueError(f"t must be >= 0, got {times.min()}")
+    if not np.all((0.0 <= times) & (times < np.inf)):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     flat = times.reshape(-1)
-    phases = np.exp(-2j * bath.omegas * flat[:, None])
+    # omega * t may overflow; the phase factor, and r, are then NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-2j * bath.omegas * flat[:, None])
     factors = np.abs(bath.alphas) ** 2 * phases \
         + np.abs(bath.betas) ** 2 * phases.conj()
     r = np.prod(factors, axis=1)
@@ -193,7 +195,6 @@ def random_bath(
     seed: int,
     equal_amplitudes: bool,
     omega_range: tuple[float, float] = (0.0, 1.0),
-    label: str = "random",
 ) -> BathSpec:
     """Sample a bath: frequencies uniform on ``omega_range``; amplitudes
     either fixed at 1/sqrt(2) or with squared moduli uniform on the simplex
@@ -215,4 +216,4 @@ def random_bath(
         phase_b = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n_spins))
         alphas = np.sqrt(weights) * phase_a
         betas = np.sqrt(1.0 - weights) * phase_b
-    return BathSpec(alphas=alphas, betas=betas, omegas=omegas, label=label)
+    return BathSpec(alphas=alphas, betas=betas, omegas=omegas, label="random")

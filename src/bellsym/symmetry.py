@@ -50,7 +50,6 @@ from .rng import (FEASIBLE_SCAN, HAAR_SCAN, OPT_RESTART, derived_rng,
 __all__ = [
     "BellState",
     "SymmetryClass",
-    "SymmetricStateForm",
     "OutcomeReport",
     "ConstraintPattern",
     "ScanResult",
@@ -62,7 +61,6 @@ __all__ = [
     "haar_unitary",
     "hermitian_from_params",
     "expi_hermitian",
-    "unitary_from_generator",
     "feasible_unitary",
     "sample_feasible_unitary",
     "maximize_symmetric_probability",
@@ -71,6 +69,11 @@ __all__ = [
 ]
 
 SCAN_REPORT_SCHEMA = "bellsym/scan-report/v1"
+
+SYMMETRY_TOL = 1e-9     # swap asymmetry of a symmetric outcome; B4 overlap
+PROB_FLOOR = 1e-14      # outcomes less likely than this are negligible
+N_RESTARTS = 8          # Nelder-Mead starting points of the maximizer
+BIN_WIDTH = 0.01        # histogram bin width of a scan
 
 _SWAP_IDX = np.array([0, 2, 1, 3])
 
@@ -114,39 +117,6 @@ class SymmetryClass(str, Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class SymmetricStateForm:
-    """Amplitudes (a, c, c, b) of a general symmetric pure two-qubit state."""
-
-    a: complex
-    b: complex
-    c: complex
-
-    def __post_init__(self):
-        norm = abs(self.a) ** 2 + 2.0 * abs(self.c) ** 2 + abs(self.b) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(
-                f"|a|^2 + 2|c|^2 + |b|^2 = {norm!r} must equal 1")
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.a, self.c, self.c, self.b], dtype=np.complex128)
-
-    def density(self) -> np.ndarray:
-        v = self.vector()
-        return np.outer(v, v.conj())
-
-    @classmethod
-    def from_vector(cls, v, tol: float = 1e-9) -> "SymmetricStateForm":
-        v = np.asarray(v, dtype=np.complex128)
-        if v.shape != (4,):
-            raise ValueError(f"state vector must have 4 components, got {v.shape}")
-        if abs(v[1] - v[2]) > tol:
-            raise ValueError("middle amplitudes differ; the state is not "
-                             "exchange symmetric")
-        return cls(a=complex(v[0]), b=complex(v[3]),
-                   c=complex((v[1] + v[2]) / 2.0))
-
-
 def swap_operator() -> np.ndarray:
     """Permutation exchanging qubit A and qubit B (|01> <-> |10>); involutory."""
     s = np.zeros((4, 4), dtype=np.complex128)
@@ -158,10 +128,10 @@ def _swap_conjugate(rho: np.ndarray) -> np.ndarray:
     return rho[_SWAP_IDX][:, _SWAP_IDX]
 
 
-def is_exchange_symmetric(rho, tol: float = 1e-9) -> tuple[bool, float]:
+def is_exchange_symmetric(rho) -> tuple[bool, float]:
     """Swap-invariance test for a density matrix.
 
-    Returns ``(asymmetry <= tol, asymmetry)`` where asymmetry is the
+    Returns ``(asymmetry <= SYMMETRY_TOL, asymmetry)`` where asymmetry is the
     Frobenius norm of S rho S - rho. Note that a state supported purely on
     the B4 ray is swap-invariant as a density matrix even though its vector
     is antisymmetric. For a pure state with unit vector v the squared
@@ -169,7 +139,7 @@ def is_exchange_symmetric(rho, tol: float = 1e-9) -> tuple[bool, float]:
     """
     rho = linalg.validate_density_matrix(rho)
     asym = float(np.linalg.norm(_swap_conjugate(rho) - rho))
-    return asym <= tol, asym
+    return asym <= SYMMETRY_TOL, asym
 
 
 @dataclass(frozen=True)
@@ -201,13 +171,13 @@ _CLASSES = (SymmetryClass.SYMMETRIC, SymmetryClass.ANTISYMMETRIC,
             SymmetryClass.MIXED, None)
 
 
-def _outcomes(bell, gamma, mixer, tol, prob_floor=1e-14):
+def _outcomes(bell, gamma, mixer):
     """The four outcomes of each mixer in ``mixer``, (4, 4) or (N, 4, 4).
 
     Returns ``(amp, prob, asymmetry, code)``: the unnormalized outcome
     vectors (N, 4, 4), their probabilities, swap asymmetries and class codes
     (N, 4), indexing ``_CLASSES``. Axis 1 is the outcome mu. Negligible
-    outcomes (probability below ``prob_floor``) get code ``_NEGLIGIBLE``
+    outcomes (probability below ``PROB_FLOOR``) get code ``_NEGLIGIBLE``
     and a NaN asymmetry.
 
     For a normalized outcome psi with q = |psi_1 - psi_2|^2, the B4 overlap
@@ -221,11 +191,11 @@ def _outcomes(bell, gamma, mixer, tol, prob_floor=1e-14):
     # row mu of mixer @ diagonals is the diagonal of E_mu
     amp = (mixers @ factors.diagonals()) * bell.vector
     prob = (amp.conj()[..., None, :] @ amp[..., :, None])[..., 0, 0].real
-    live = prob >= prob_floor
+    live = prob >= PROB_FLOOR
     q = np.abs(amp[..., 1] - amp[..., 2]) ** 2 / np.where(live, prob, 1.0)
     asym = np.sqrt(np.maximum(0.0, 2.0 * q * (2.0 - q)))
-    code = np.where(q / 2.0 >= 1.0 - tol, _ANTISYMMETRIC,
-                    np.where(asym <= tol, _SYMMETRIC, _MIXED))
+    code = np.where(q / 2.0 >= 1.0 - SYMMETRY_TOL, _ANTISYMMETRIC,
+                    np.where(asym <= SYMMETRY_TOL, _SYMMETRIC, _MIXED))
     code[~live] = _NEGLIGIBLE
     asym[~live] = np.nan
     return amp, prob, asym, code
@@ -235,8 +205,6 @@ def outcome_analysis(
     bell: Union[BellState, str],
     gamma: float,
     mixer,
-    tol: float = 1e-9,
-    prob_floor: float = 1e-14,
 ) -> list[OutcomeReport]:
     """Probabilities, states and symmetry classes of all four outcomes.
 
@@ -244,13 +212,12 @@ def outcome_analysis(
     outcome mu uses E_mu = sum_j mixer[mu, j] K_j. Classification of a
     normalized outcome:
 
-    * antisymmetric -- overlap with the B4 ray is 1 within ``tol``;
-    * symmetric     -- swap asymmetry (Frobenius) is at most ``tol``;
+    * antisymmetric -- overlap with the B4 ray is 1 within ``SYMMETRY_TOL``;
+    * symmetric     -- swap asymmetry (Frobenius) is at most ``SYMMETRY_TOL``;
     * mixed         -- anything else (the exchange symmetry is broken).
     """
     mixer = linalg.as_square_matrix(mixer, "mixer")
-    (amp,), (prob,), (asym,), (code,) = _outcomes(bell, gamma, mixer, tol,
-                                                  prob_floor)
+    (amp,), (prob,), (asym,), (code,) = _outcomes(bell, gamma, mixer)
     reports = []
     for mu in range(4):
         negligible = code[mu] == _NEGLIGIBLE
@@ -267,7 +234,6 @@ def symmetric_probability(
     bell: Union[BellState, str],
     gamma: float,
     mixer,
-    tol: float = 1e-9,
 ) -> Union[float, np.ndarray]:
     """Total probability of exchange-symmetric outcomes for one decomposition.
 
@@ -275,7 +241,7 @@ def symmetric_probability(
     them, giving an array of N probabilities.
     """
     mixer = np.asarray(mixer, dtype=np.complex128)
-    _, prob, _, code = _outcomes(bell, gamma, mixer, tol)
+    _, prob, _, code = _outcomes(bell, gamma, mixer)
     # numpy adds fewer than eight terms in order, as a running sum would
     p = np.where(code == _SYMMETRIC, prob, 0.0).sum(axis=-1)
     return float(p[0]) if mixer.ndim == 2 else p
@@ -354,9 +320,9 @@ def _haar_from_normals(z: np.ndarray) -> np.ndarray:
                           / math.sqrt(2.0))
 
 
-def haar_unitary(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    return _haar_from_normals(rng.standard_normal((2, dim, dim)))
+def haar_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed 4x4 unitary via QR of a complex Ginibre matrix."""
+    return _haar_from_normals(rng.standard_normal((2, 4, 4)))
 
 
 def hermitian_from_params(theta: Sequence[float], dim: int) -> np.ndarray:
@@ -377,11 +343,6 @@ def expi_hermitian(h) -> np.ndarray:
     h = linalg.as_square_matrix(h, "generator")
     vals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
-
-
-def unitary_from_generator(theta: Sequence[float], dim: int = 4) -> np.ndarray:
-    """Unitary exp(i H(theta)) with H built by :func:`hermitian_from_params`."""
-    return expi_hermitian(hermitian_from_params(theta, dim))
 
 
 def _orthonormal_complement(c: np.ndarray) -> np.ndarray:
@@ -469,12 +430,10 @@ def maximize_symmetric_probability(
     pattern: Union[ConstraintPattern, Iterable[int]],
     budget: int = 24000,
     seed: int = 0,
-    tol: float = 1e-9,
-    n_restarts: int = 8,
 ) -> tuple[float, np.ndarray]:
     """Maximize the symmetric probability over pattern-respecting mixers.
 
-    Runs Nelder-Mead from ``n_restarts`` starting points (one structured,
+    Runs Nelder-Mead from ``N_RESTARTS`` starting points (one structured,
     the rest drawn from per-restart derived streams), spending roughly
     ``budget`` objective evaluations in total. Returns the best value found
     and the mixer attaining it. The iterates are exactly feasible by
@@ -492,12 +451,12 @@ def maximize_symmetric_probability(
 
     def negative_objective(x):
         u = feasible_unitary(pattern, x)
-        return -symmetric_probability(bell, gamma, u, tol=tol)
+        return -symmetric_probability(bell, gamma, u)
 
-    per_restart = max(50, budget // n_restarts)
+    per_restart = max(50, budget // N_RESTARTS)
     best_value = -np.inf
     best_params = None
-    for restart in range(n_restarts):
+    for restart in range(N_RESTARTS):
         if restart == 0:
             x0 = np.zeros(ndim)
             x0[0] = 1.0
@@ -552,8 +511,7 @@ class ScanResult:
 SCAN_CHUNK = 256
 
 
-def _scan(bell, gamma, n_samples, seed, stream, shape, build, bin_width=0.01,
-          tol=1e-9) -> ScanResult:
+def _scan(bell, gamma, n_samples, seed, stream, shape, build) -> ScanResult:
     """Histogram the symmetric probability of ``n_samples`` random mixers.
 
     Sample ``i`` fills an array of ``shape`` with standard normals from
@@ -564,12 +522,9 @@ def _scan(bell, gamma, n_samples, seed, stream, shape, build, bin_width=0.01,
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if not (math.isfinite(bin_width) and 0.0 < bin_width <= 1.0):
-        raise ValueError(f"bin_width must be finite and in (0, 1], got "
-                         f"{bin_width}")
     bell = _coerce_bell(bell)
     KrausFactors.from_gamma(gamma)
-    n_bins = int(round(1.0 / bin_width)) + 1
+    n_bins = int(round(1.0 / BIN_WIDTH)) + 1
     counts = np.zeros(n_bins, dtype=np.int64)
     p_max = -np.inf
     p_min = np.inf
@@ -579,15 +534,15 @@ def _scan(bell, gamma, n_samples, seed, stream, shape, build, bin_width=0.01,
         z = np.empty((min(SCAN_CHUNK, n_samples - start),) + shape)
         for row, rng in zip(z, rngs):
             rng.standard_normal(out=row)
-        p = symmetric_probability(bell, gamma, build(z), tol=tol)
+        p = symmetric_probability(bell, gamma, build(z))
         p_max = max(p_max, p.max())
         p_min = min(p_min, p.min())
         total = np.concatenate(([total], p)).cumsum()[-1]
-        bins = np.clip(np.rint(p / bin_width), 0, n_bins - 1).astype(np.int64)
+        bins = np.clip(np.rint(p / BIN_WIDTH), 0, n_bins - 1).astype(np.int64)
         counts += np.bincount(bins, minlength=n_bins)
     return ScanResult(
         bell=bell, gamma=float(gamma), n_samples=n_samples, seed=seed,
-        bin_width=bin_width, p_max=float(p_max), p_min=float(p_min),
+        bin_width=BIN_WIDTH, p_max=float(p_max), p_min=float(p_min),
         p_mean=float(total / n_samples), counts=tuple(int(c) for c in counts),
     )
 
@@ -597,8 +552,6 @@ def brute_force_symmetry_scan(
     gamma: float,
     n_samples: int,
     seed: int,
-    bin_width: float = 0.01,
-    tol: float = 1e-9,
 ) -> ScanResult:
     """Sample Haar-random mixers and histogram the symmetric probability.
 
@@ -607,7 +560,7 @@ def brute_force_symmetry_scan(
     is deterministic for a fixed seed regardless of batching.
     """
     return _scan(bell, gamma, n_samples, seed, HAAR_SCAN, (2, 4, 4),
-                 _haar_from_normals, bin_width, tol)
+                 _haar_from_normals)
 
 
 def feasible_symmetry_scan(

@@ -72,10 +72,6 @@ class TestGammaFactor:
 
 
 class TestChannelParams:
-    def test_identical_predicate(self):
-        assert ChannelParams(1.0, 1.0, 2.0).identical()
-        assert not ChannelParams(1.0, 1.5, 2.0).identical()
-
     @pytest.mark.parametrize("kwargs", [
         {"gamma_rate_a": -1.0, "gamma_rate_b": 1.0, "time": 1.0},
         {"gamma_rate_a": 1.0, "gamma_rate_b": np.nan, "time": 1.0},
@@ -275,3 +271,16 @@ class TestMonteCarlo:
         est1, _ = monte_carlo_dephasing(rho, params, base)
         est2, _ = monte_carlo_dephasing(rho, params, scaled)
         assert np.array_equal(est1, est2)
+
+    @pytest.mark.parametrize("mu", [3.0, 1e300, 1e-300, 5e-324, -3.0,
+                                    -1e300, -5e-324])
+    def test_mu_of_any_magnitude_matches_unit_mu(self, mu):
+        # mu^2 would overflow or underflow here; only the sign of mu counts
+        rho = BellState.B1.density()
+        params = ChannelParams.identical_rates(1.0, 1.0)
+        unit = NoiseTrajectoryConfig(n_trajectories=4, dt=0.5, seed=0,
+                                     mu=np.sign(mu))
+        cfg = NoiseTrajectoryConfig(n_trajectories=4, dt=0.5, seed=0, mu=mu)
+        est, err = monte_carlo_dephasing(rho, params, cfg)
+        expected, expected_err = monte_carlo_dephasing(rho, params, unit)
+        assert est.tobytes() == expected.tobytes() and err == expected_err

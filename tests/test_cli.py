@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bellsym
 from bellsym import kraus, spinbath, symmetry
@@ -289,6 +292,16 @@ class TestSpinbathCommand:
         assert "spin 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_phase_is_numerical_failure(self, tmp_path, capsys):
+        # omega * t overflows, so r(t) is NaN: no table may be written
+        out = tmp_path / "sb.csv"
+        code = main(["spinbath", "--n-spins", "3", "--t-max", "1e300",
+                     "--omega-max", "1e300", "--n-points", "3",
+                     "-o", str(out)])
+        assert code == 4
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("t_max", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", [
@@ -356,6 +369,19 @@ class TestMonteCarloCommand:
         assert "dt must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mu", ["3", "1e300", "1e-300"])
+    def test_report_does_not_depend_on_mu(self, tmp_path, mu):
+        args = ["montecarlo", "--state", "B1", "--rate", "1", "--time", "1",
+                "--n-trajectories", "4", "--dt", "0.5"]
+        unit, scaled = tmp_path / "unit.json", tmp_path / "scaled.json"
+        assert main(args + ["-o", str(unit)]) == 0
+        assert main(args + ["--mu", mu, "-o", str(scaled)]) == 0
+        doc = json.loads(scaled.read_text())
+        assert doc.pop("mu") == float(mu)
+        expected = json.loads(unit.read_text())
+        del expected["mu"]
+        assert doc == expected
+
     def test_zero_trajectories_is_usage_error(self):
         code = main(["montecarlo", "--state", "B1", "--rate", "1.0",
                      "--time", "1.0", "--n-trajectories", "0"])
@@ -378,3 +404,61 @@ def test_module_entry_point(tmp_path):
 
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 2
+
+
+# Values of the float flags in the fuzz property below: zero, subnormal,
+# tiny, ordinary, huge, negative and non-finite.
+FUZZ_FLOATS = ("0", "5e-324", "1e-300", "0.5", "1", "3", "1e300", "-1",
+               "nan", "inf", "-inf")
+# montecarlo times at --dt 0.5: a huge time would ask for a huge step count
+FUZZ_TIMES = ("0", "5e-324", "0.25", "1", "nan", "inf", "-1")
+
+
+def _flag(name, values):
+    return st.sampled_from(values).map(lambda v: [f"--{name}={v}"])
+
+
+def _argv(command, *flags):
+    seed = _flag("seed", ("0", "3", "-1"))
+    return st.tuples(seed, *flags).map(
+        lambda parts: parts[0] + [command] + sum(parts[1:], []))
+
+
+_STATE = _flag("state", ("B1", "B2", "B3", "B4"))
+_SIZES = tuple(str(n) for n in range(-1, 4))
+
+FUZZ_ARGV = st.one_of(
+    _argv("evolve", _STATE, _flag("rate", FUZZ_FLOATS),
+          _flag("t-max", FUZZ_FLOATS), _flag("n-points", _SIZES)),
+    _argv("kraus", _flag("gamma", FUZZ_FLOATS),
+          _flag("method", ("canonical", "choi"))),
+    _argv("symmetry-scan", _STATE, _flag("gamma", FUZZ_FLOATS),
+          _flag("n-samples", _SIZES)),
+    _argv("optimize", _STATE, _flag("gamma", FUZZ_FLOATS),
+          _flag("pattern", ("", "1", "1,2,3")), _flag("budget", ("1",)),
+          _flag("scan-samples", _SIZES),
+          _flag("agreement-tol", FUZZ_FLOATS)),
+    _argv("spinbath", _flag("n-spins", _SIZES),
+          _flag("amplitudes", ("equal", "random")),
+          _flag("omega-min", FUZZ_FLOATS), _flag("omega-max", FUZZ_FLOATS),
+          _flag("t-max", FUZZ_FLOATS), _flag("n-points", _SIZES),
+          st.sampled_from(([], ["--state=B3"]))),
+    _argv("montecarlo", _STATE, _flag("rate", FUZZ_FLOATS),
+          _flag("time", FUZZ_TIMES), _flag("dt", ("0.5",)),
+          _flag("n-trajectories", _SIZES), _flag("mu", FUZZ_FLOATS)),
+)
+
+_NON_FINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(argv=FUZZ_ARGV)
+def test_fuzzed_argv_ends_in_a_documented_exit_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = main(argv + ["-o", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert not _NON_FINITE_TOKEN.search(out.read_text())
+        else:
+            assert not out.exists()

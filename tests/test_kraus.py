@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bellsym import kraus
-from bellsym.channel import ChannelParams, dephase_with_factors
+from bellsym.channel import dephase_with_factors
 from bellsym.kraus import (
     CompletePositivityError,
     KrausFactors,
@@ -14,7 +14,6 @@ from bellsym.kraus import (
     canonical_kraus,
     channels_equal,
     choi_from_factors,
-    choi_of_channel,
     choi_of_kraus,
     completeness_residual,
     kraus_from_choi,
@@ -22,7 +21,7 @@ from bellsym.kraus import (
     kraus_set_to_dict,
     mix_kraus,
 )
-from bellsym.symmetry import BellState, haar_unitary, unitary_from_generator
+from bellsym.symmetry import BellState, haar_unitary
 
 from conftest import assert_valid_for_schema, random_density_matrix
 
@@ -101,6 +100,11 @@ class TestKrausSetValidation:
         with pytest.raises(ValueError, match="at least one"):
             KrausSet(operators=())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_operator_rejected(self, value):
+        with pytest.raises(ValueError, match="NaN or an infinite"):
+            KrausSet(operators=(np.full((4, 4), value),))
+
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="4x4"):
             KrausSet(operators=(np.eye(2),))
@@ -140,7 +144,7 @@ class TestApplyKraus:
 
 class TestChoi:
     def test_identity_channel_is_rank_one(self):
-        choi = choi_of_channel(ChannelParams.identical_rates(1.0, 0.0))
+        choi = choi_from_factors(1.0, 1.0)
         omega = np.zeros(16)
         omega[[0, 5, 10, 15]] = 1.0
         assert np.allclose(choi, np.outer(omega, omega), atol=0)
@@ -175,7 +179,7 @@ class TestChoi:
 
 class TestKrausFromChoi:
     def test_identity_channel_single_operator(self):
-        choi = choi_of_channel(ChannelParams.identical_rates(1.0, 0.0))
+        choi = choi_from_factors(1.0, 1.0)
         kset = kraus_from_choi(choi)
         assert len(kset) == 1
         # phase canonicalization pins the global phase, so exactly identity
@@ -242,8 +246,7 @@ class TestMixKraus:
 
     def test_random_mixer_preserves_channel_action(self, rng):
         kset = canonical_kraus(0.3)
-        mixer = unitary_from_generator(rng.standard_normal(16), dim=4)
-        mixed = mix_kraus(kset, mixer)
+        mixed = mix_kraus(kset, haar_unitary(rng))
         for _ in range(100):
             rho = random_density_matrix(rng)
             expected = dephase_with_factors(rho, 0.3, 0.3)
@@ -254,8 +257,7 @@ class TestMixKraus:
         kset = canonical_kraus(gamma)
         reference = choi_of_kraus(kset)
         for _ in range(1000):
-            mixer = unitary_from_generator(rng.standard_normal(16), dim=4)
-            mixed = mix_kraus(kset, mixer)
+            mixed = mix_kraus(kset, haar_unitary(rng))
             assert mixed.completeness_residual() <= 1e-10
             assert np.max(np.abs(choi_of_kraus(mixed) - reference)) <= 1e-10
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bellsym import linalg
-from bellsym.symmetry import unitary_from_generator
+from bellsym.symmetry import expi_hermitian, haar_unitary
 
 from conftest import random_density_matrix, random_hermitian
 
@@ -31,7 +31,7 @@ class TestDagger:
 
     def test_unitary_inverse(self, rng):
         for _ in range(50):
-            u = unitary_from_generator(rng.standard_normal(16), dim=4)
+            u = haar_unitary(rng)
             assert linalg.max_abs(linalg.dagger(u) @ u - np.eye(4)) <= 1e-12
 
 
@@ -104,22 +104,20 @@ class TestHermitianEig:
 
 class TestIsUnitary:
     def test_identity(self):
-        assert linalg.is_unitary(np.eye(4), 1e-10)
+        assert linalg.is_unitary(np.eye(4))
 
     def test_scaled_identity_fails(self):
-        assert not linalg.is_unitary(2.0 * np.eye(4), 1e-10)
+        assert not linalg.is_unitary(2.0 * np.eye(4))
 
     def test_exponential_map(self, rng):
         for _ in range(100):
-            u = unitary_from_generator(rng.standard_normal(16), dim=4)
-            assert linalg.is_unitary(u, 1e-10)
+            assert linalg.is_unitary(expi_hermitian(random_hermitian(rng, 4)))
 
     def test_stack_needs_every_matrix_unitary(self, rng):
-        stack = np.stack([unitary_from_generator(rng.standard_normal(16))
-                          for _ in range(5)])
-        assert linalg.is_unitary(stack, 1e-10)
+        stack = np.stack([haar_unitary(rng) for _ in range(5)])
+        assert linalg.is_unitary(stack)
         stack[3, 0, 0] += 1e-6
-        assert not linalg.is_unitary(stack, 1e-10)
+        assert not linalg.is_unitary(stack)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -150,4 +148,14 @@ class TestValidateDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         rho = np.diag([0.7, 0.5, -0.2, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="negative eigenvalue"):
+            linalg.validate_density_matrix(rho)
+
+    @pytest.mark.parametrize("rho", [
+        pytest.param(np.diag([np.nan, 0.25, 0.25, 0.25]), id="nan_entry"),
+        pytest.param(np.full((4, 4), np.nan), id="all_nan"),
+        pytest.param(np.diag([np.inf, 0.25, 0.25, 0.25]), id="inf_entry"),
+        pytest.param(np.full((4, 4), -np.inf), id="all_minus_inf"),
+    ])
+    def test_rejects_non_finite_entries(self, rho):
+        with pytest.raises(ValueError, match="NaN or an infinite"):
             linalg.validate_density_matrix(rho)

@@ -122,6 +122,11 @@ class TestDecoherenceFactor:
         with pytest.raises(ValueError, match=">= 0"):
             decoherence_factor(single_spin_bath(), times)
 
+    @pytest.mark.parametrize("times", [np.inf, [0.0, np.inf]])
+    def test_infinite_time_rejected(self, times):
+        with pytest.raises(ValueError, match="finite"):
+            decoherence_factor(single_spin_bath(), times)
+
     @pytest.mark.parametrize("equal", [True, False])
     def test_grid_is_bitwise_per_time_values(self, equal):
         bath = random_bath(12, seed=21, equal_amplitudes=equal)
@@ -340,3 +345,9 @@ class TestSymmetryTransfer:
 def test_validate_central_state_shape():
     with pytest.raises(ValueError, match="4 amplitudes"):
         validate_central_state(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_validate_central_state_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="norm"):
+        validate_central_state(np.array([value, 0.0, 0.0, 0.0]))

@@ -10,7 +10,6 @@ from bellsym.kraus import KrausFactors
 from bellsym.symmetry import (
     BellState,
     ConstraintPattern,
-    SymmetricStateForm,
     SymmetryClass,
     asymptotic_symmetric_probability,
     brute_force_symmetry_scan,
@@ -26,7 +25,6 @@ from bellsym.symmetry import (
     sample_feasible_unitary,
     swap_operator,
     symmetric_probability,
-    unitary_from_generator,
 )
 from bellsym.rng import FEASIBLE_SCAN, HAAR_SCAN, derived_rng
 
@@ -162,35 +160,6 @@ def test_pure_state_asymmetry_closed_form(parts):
     _, asym = is_exchange_symmetric(np.outer(v, v.conj()))
     q = abs(v[1] - v[2]) ** 2
     assert abs(asym**2 - 2.0 * q * (2.0 - q)) <= 1e-7
-
-
-class TestSymmetricStateForm:
-    def test_normalization_enforced(self):
-        with pytest.raises(ValueError, match="must equal 1"):
-            SymmetricStateForm(a=1.0, b=1.0, c=0.0)
-
-    def test_density_pattern(self):
-        a, b, c = 0.5, 0.5 + 0.3j, complex(math.sqrt((1 - 0.25 - 0.34) / 2))
-        form = SymmetricStateForm(a=a, b=b, c=c)
-        rho = form.density()
-        expected = np.array([
-            [abs(a)**2, a * c.conjugate(), a * c.conjugate(), a * b.conjugate()],
-            [c * np.conj(a), abs(c)**2, abs(c)**2, c * np.conj(b)],
-            [c * np.conj(a), abs(c)**2, abs(c)**2, c * np.conj(b)],
-            [b * np.conj(a), b * np.conj(c), b * np.conj(c), abs(b)**2],
-        ])
-        assert np.allclose(rho, expected, atol=1e-15)
-        ok, _ = is_exchange_symmetric(rho, tol=1e-9)
-        assert ok
-
-    def test_from_vector(self):
-        form = SymmetricStateForm.from_vector(BellState.B3.vector)
-        assert form.a == 0 and form.b == 0
-        assert abs(form.c - 1.0 / SQRT2) <= 1e-15
-
-    def test_from_vector_rejects_broken_state(self):
-        with pytest.raises(ValueError, match="not exchange symmetric"):
-            SymmetricStateForm.from_vector(np.array([0, 1, 0, 0], dtype=complex))
 
 
 class TestOutcomeAnalysis:
@@ -405,10 +374,9 @@ class TestConstraintPattern:
 
 class TestUnitaryConstructions:
     def test_haar_unitary_is_unitary(self, rng):
-        for dim in (2, 4):
-            for _ in range(100):
-                u = haar_unitary(rng, dim)
-                assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-12
+        for _ in range(200):
+            u = haar_unitary(rng)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
 
     def test_haar_determinism(self):
         u1 = haar_unitary(derived_rng(3, HAAR_SCAN, 0))
@@ -440,10 +408,6 @@ class TestUnitaryConstructions:
         h = random_hermitian(rng, 4)
         u = expi_hermitian(h)
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
-
-    def test_generator_map(self, rng):
-        u = unitary_from_generator(rng.standard_normal(16), dim=4)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10
 
     @pytest.mark.parametrize("rows", [(), (1,), (2, 4), (1, 2, 3)])
     def test_feasible_unitary_construction(self, rng, rows):
@@ -562,18 +526,6 @@ class TestBruteForceScan:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError, match="n_samples"):
             brute_force_symmetry_scan(BellState.B3, 0.0, 0, seed=0)
-
-    @pytest.mark.parametrize("bin_width", [0.0, -0.1, 1.5, math.inf,
-                                           math.nan])
-    def test_rejects_bad_bin_width(self, bin_width):
-        with pytest.raises(ValueError, match="bin_width"):
-            brute_force_symmetry_scan(BellState.B3, 0.0, 10, seed=0,
-                                      bin_width=bin_width)
-
-    def test_whole_range_bin(self):
-        res = brute_force_symmetry_scan(BellState.B3, 0.3, 40, seed=2,
-                                        bin_width=1.0)
-        assert len(res.counts) == 2 and sum(res.counts) == 40
 
     # 1000 samples: enough that a chunk-wise pairwise sum would move the
     # last bit of the B1/B2 means (almost every B3 Haar sample has p = 0)
