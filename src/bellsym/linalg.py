@@ -47,10 +47,13 @@ def max_abs(a) -> float:
 
 def is_unitary(a) -> bool:
     """True iff ||a† a - I||_max <= UNITARITY_TOL; for a stack of shape
-    (..., d, d), iff that holds for every matrix in it."""
+    (..., d, d), iff that holds for every matrix in it. A NaN or an
+    infinite entry makes it False."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        return False
     eye = np.eye(a.shape[-1])
     return max_abs(np.swapaxes(a.conj(), -1, -2) @ a - eye) <= UNITARITY_TOL
 

@@ -29,18 +29,19 @@ Both a Haar-random sampler (oracle) and a constrained maximizer over the
 unitary freedom are provided; the maximizer parametrizes exactly-feasible
 unitaries (column 2 pinned to the allowed rows, remaining freedom via the
 exponential map of a Hermitian generator) so constraint violations can never
-leak probability in.
+leak probability in. Its Nelder-Mead restarts run in lockstep, each round
+evaluating the points of all restarts in one batched call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import linalg
 from .kraus import KrausFactors, _mixer_stack
@@ -73,6 +74,8 @@ SCAN_REPORT_SCHEMA = "bellsym/scan-report/v1"
 SYMMETRY_TOL = 1e-9     # swap asymmetry of a symmetric outcome; B4 overlap
 PROB_FLOOR = 1e-14      # outcomes less likely than this are negligible
 N_RESTARTS = 8          # Nelder-Mead starting points of the maximizer
+NM_XATOL = 1e-9         # Nelder-Mead stops when the simplex spans at most
+NM_FATOL = 1e-13        # this in x and its values this in f, both at once
 BIN_WIDTH = 0.01        # histogram bin width of a scan
 
 _SWAP_IDX = np.array([0, 2, 1, 3])
@@ -325,34 +328,50 @@ def haar_unitary(rng: np.random.Generator) -> np.ndarray:
     return _haar_from_normals(rng.standard_normal((2, 4, 4)))
 
 
+@functools.cache
+def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(dim, 1)
+
+
 def hermitian_from_params(theta: Sequence[float], dim: int) -> np.ndarray:
-    """Hermitian matrix from dim^2 real parameters (diagonal, then re/im pairs)."""
+    """Hermitian matrices (..., dim, dim) from real parameters (..., dim^2):
+    the diagonal, then re/im pairs of the upper triangle row by row."""
     theta = np.asarray(theta, dtype=float)
-    if theta.size != dim * dim:
-        raise ValueError(f"need {dim * dim} parameters, got {theta.size}")
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    h[np.diag_indices(dim)] = theta[:dim]
-    upper = np.triu_indices(dim, 1)
-    h[upper] = theta[dim::2] + 1j * theta[dim + 1::2]
-    h[upper[::-1]] = np.conj(h[upper])
+    if theta.shape[-1:] != (dim * dim,):
+        raise ValueError(f"need {dim * dim} parameters, got shape "
+                         f"{theta.shape}")
+    h = np.zeros(theta.shape[:-1] + (dim, dim), dtype=np.complex128)
+    diag = np.arange(dim)
+    h[..., diag, diag] = theta[..., :dim]
+    rows, cols = _upper_indices(dim)
+    h[..., rows, cols] = theta[..., dim::2] + 1j * theta[..., dim + 1::2]
+    h[..., cols, rows] = np.conj(h[..., rows, cols])
     return h
 
 
 def expi_hermitian(h) -> np.ndarray:
-    """exp(i h) for Hermitian h, via its eigendecomposition."""
-    h = linalg.as_square_matrix(h, "generator")
+    """exp(i h) for each Hermitian matrix of ``h`` (..., d, d), via its
+    eigendecomposition."""
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or not np.all(np.isfinite(h)):
+        raise ValueError("generator must be a finite square matrix or a "
+                         f"stack of them, got shape {h.shape}")
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    return ((vecs * np.exp(1j * vals)[..., None, :])
+            @ np.swapaxes(vecs.conj(), -1, -2))
 
 
-def _orthonormal_complement(c: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis (4x3) of the subspace orthogonal to c."""
-    pivot = int(np.argmax(np.abs(c)))
-    cols = [j for j in range(4) if j != pivot]
-    m = np.eye(4, dtype=np.complex128)[:, cols]
-    m = m - np.outer(c, c.conj() @ m)
-    q, _ = np.linalg.qr(m)
-    return q
+# _COMPLEMENTS[p]: the columns of the 4x4 identity other than column p
+_COMPLEMENTS = np.stack([np.eye(4, dtype=np.complex128)[:, np.arange(4) != p]
+                         for p in range(4)])
+
+
+def _norm(c: np.ndarray) -> np.ndarray:
+    """Euclidean norms (..., 1) of the complex vectors (..., m), rounded as
+    the 1-d np.linalg.norm rounds them; its axis form may not."""
+    x, y = c.real[..., None], c.imag[..., None]
+    return np.sqrt(np.swapaxes(x, -1, -2) @ x
+                   + np.swapaxes(y, -1, -2) @ y)[..., 0]
 
 
 def _free_indices(pattern: ConstraintPattern) -> list[int]:
@@ -364,6 +383,27 @@ def feasible_params_dim(pattern: ConstraintPattern) -> int:
     return 2 * len(pattern.free_rows) + 9
 
 
+def _feasible_from_params(pattern: ConstraintPattern,
+                          x: np.ndarray) -> np.ndarray:
+    """Feasible mixers (..., 4, 4) from parameters (..., 2m + 9), m free
+    rows: see :func:`feasible_unitary`."""
+    free = _free_indices(pattern)
+    m = len(free)
+    c_free = x[..., :m] + 1j * x[..., m:2 * m]
+    # a column 2 of (near) zero norm gets 1 added to its first free entry
+    first = c_free[..., :1]
+    first[...] = np.where(_norm(c_free) < 1e-12, first + 1.0, first)
+    c = np.zeros(x.shape[:-1] + (4,), dtype=np.complex128)
+    c[..., free] = c_free / _norm(c_free)
+    # the identity's columns other than c's largest entry, projected off c
+    # and orthonormalized, rotated by a U(3) element
+    e = _COMPLEMENTS[np.argmax(np.abs(c), axis=-1)]
+    basis, _ = np.linalg.qr(e - c[..., :, None]
+                            * (c.conj()[..., None, :] @ e))
+    w = basis @ expi_hermitian(hermitian_from_params(x[..., 2 * m:], 3))
+    return np.concatenate([w[..., :1], c[..., None], w[..., 1:]], axis=-1)
+
+
 def feasible_unitary(pattern: ConstraintPattern, params) -> np.ndarray:
     """Exactly-feasible mixer from real parameters.
 
@@ -372,22 +412,12 @@ def feasible_unitary(pattern: ConstraintPattern, params) -> np.ndarray:
     remaining three columns are a deterministic orthonormal completion
     rotated by a U(3) element from the trailing 9 parameters.
     """
-    free = _free_indices(pattern)
-    m = len(free)
     x = np.asarray(params, dtype=float)
-    if x.size != 2 * m + 9:
-        raise ValueError(f"need {2 * m + 9} parameters for pattern "
-                         f"{pattern.rows_sorted}, got {x.size}")
-    c_free = x[:m] + 1j * x[m:2 * m]
-    if np.linalg.norm(c_free) < 1e-12:
-        c_free = c_free.copy()
-        c_free[0] += 1.0
-    c = np.zeros(4, dtype=np.complex128)
-    c[free] = c_free / np.linalg.norm(c_free)
-
-    basis = _orthonormal_complement(c)
-    w = basis @ expi_hermitian(hermitian_from_params(x[2 * m:], 3))
-    return np.concatenate([w[:, :1], c[:, None], w[:, 1:]], axis=1)
+    n = feasible_params_dim(pattern)
+    if x.shape != (n,):
+        raise ValueError(f"need {n} parameters for pattern "
+                         f"{pattern.rows_sorted}, got shape {x.shape}")
+    return _feasible_from_params(pattern, x)
 
 
 def _feasible_from_normals(pattern: ConstraintPattern,
@@ -398,10 +428,7 @@ def _feasible_from_normals(pattern: ConstraintPattern,
     free = _free_indices(pattern)
     m = len(free)
     c_free = z[..., :m] + 1j * z[..., m:2 * m]
-    # the 1-d np.linalg.norm computes exactly this; its axis form may not
-    x, y = c_free.real[..., None], c_free.imag[..., None]
-    norm = np.sqrt(np.swapaxes(x, -1, -2) @ x
-                   + np.swapaxes(y, -1, -2) @ y)[..., 0]
+    norm = _norm(c_free)
     fallback = norm < 1e-12
     c = np.zeros(z.shape[:-1] + (4,), dtype=np.complex128)
     c[..., free] = (np.where(fallback, 1.0, c_free)
@@ -424,6 +451,104 @@ def sample_feasible_unitary(pattern: ConstraintPattern,
 # search for the maximal symmetric probability
 # ---------------------------------------------------------------------------
 
+def _sort_simplex(sim: np.ndarray, fsim: np.ndarray):
+    ind = fsim.argsort()
+    return sim[ind], fsim[ind]
+
+
+def _nelder_mead(x0: np.ndarray, maxfev: int):
+    """Adaptive Nelder-Mead from ``x0`` as a generator of evaluation requests.
+
+    It yields stacks (k, n) of points and is sent their k values; it returns
+    ``(sim, fsim, nfev)``: the final simplex (n + 1, n) sorted by value, so
+    that ``sim[0]`` is the best point, its values and the number of values
+    it was sent. Step for step this is scipy's ``_minimize_neldermead``
+    with ``adaptive=True``, whose coefficients are those of Gao and Han,
+    Comput. Optim. Appl. 51 (2012) 259. It stops once the simplex spans at
+    most ``NM_XATOL`` in x and ``NM_FATOL`` in f, or when ``maxfev`` values
+    are spent. A step that runs out of budget keeps what scipy keeps when its
+    evaluation raises: in a shrink, the first vertex whose value is refused
+    has already moved.
+    """
+    n = len(x0)
+    rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    sim = np.tile(x0, (n + 1, 1))
+    k = np.arange(n)
+    sim[k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = np.full(n + 1, np.inf)
+    nfev = min(n + 1, maxfev)
+    fsim[:nfev] = yield sim[:nfev]
+    # scipy sorts twice here; argsort is not stable, so ties may move twice
+    sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
+    while nfev < maxfev:
+        if (np.abs(sim[1:] - sim[0]).max() <= NM_XATOL
+                and np.abs(fsim[0] - fsim[1:]).max() <= NM_FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        (fxr,) = yield xr[None]
+        nfev += 1
+        if fxr < fsim[0]:
+            if nfev < maxfev:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                (fxe,) = yield xe[None]
+                nfev += 1
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif nfev < maxfev:
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                (fxc,) = yield xc[None]
+                shrink = not fxc <= fxr
+            else:
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                (fxc,) = yield xc[None]
+                shrink = not fxc < fsim[-1]
+            nfev += 1
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                left = maxfev - nfev
+                shrunk = sim[0] + sigma * (sim[1:] - sim[0])
+                sim[1:left + 2] = shrunk[:left + 1]
+                if left:
+                    fsim[1:left + 1] = yield shrunk[:left]
+                    nfev += min(left, n)
+        sim, fsim = _sort_simplex(sim, fsim)
+    return sim, fsim, nfev
+
+
+def minimize(fun, starts, maxfev: int) -> list[tuple[np.ndarray, np.ndarray,
+                                                     int]]:
+    """Minimize ``fun`` by adaptive Nelder-Mead from each row of ``starts``
+    (r, n), spending at most ``maxfev`` values per start.
+
+    ``fun`` maps points (k, n) to their values (k,). The runs advance in
+    lockstep: each round evaluates the points that every unfinished run asks
+    for in one ``fun`` call. Returns ``(sim, fsim, nfev)`` of each start, in
+    order (see :func:`_nelder_mead`): bitwise the ``final_simplex`` and
+    ``nfev`` of scipy's Nelder-Mead with ``adaptive=True``, ``maxfev``,
+    ``xatol=NM_XATOL`` and ``fatol=NM_FATOL`` from that start alone, whose
+    ``x`` and ``fun`` are ``sim[0]`` and ``fsim[0]``.
+    """
+    runs = [_nelder_mead(x0, maxfev) for x0 in starts]
+    asks = [next(run) for run in runs]
+    results = [None] * len(runs)
+    live = list(range(len(runs)))
+    while live:
+        values = fun(np.concatenate([asks[i] for i in live]))
+        end = 0
+        for i in live:
+            start, end = end, end + len(asks[i])
+            try:
+                asks[i] = runs[i].send(values[start:end])
+            except StopIteration as done:
+                results[i] = done.value
+        live = [i for i in live if results[i] is None]
+    return results
+
+
 def maximize_symmetric_probability(
     bell: Union[BellState, str],
     gamma: float,
@@ -433,12 +558,12 @@ def maximize_symmetric_probability(
 ) -> tuple[float, np.ndarray]:
     """Maximize the symmetric probability over pattern-respecting mixers.
 
-    Runs Nelder-Mead from ``N_RESTARTS`` starting points (one structured,
-    the rest drawn from per-restart derived streams), spending roughly
-    ``budget`` objective evaluations in total. Returns the best value found
-    and the mixer attaining it. The iterates are exactly feasible by
-    construction, so the search can never report probability leaked in
-    through constraint violation.
+    Runs Nelder-Mead (:func:`minimize`) from ``N_RESTARTS`` starting points
+    (one structured, the rest drawn from per-restart derived streams),
+    spending roughly ``budget`` objective evaluations in total. Returns the
+    best value found, the first restart's on a tie, and the mixer attaining
+    it. The iterates are exactly feasible by construction, so the search can
+    never report probability leaked in through constraint violation.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -450,26 +575,21 @@ def maximize_symmetric_probability(
     ndim = feasible_params_dim(pattern)
 
     def negative_objective(x):
-        u = feasible_unitary(pattern, x)
-        return -symmetric_probability(bell, gamma, u)
+        return -symmetric_probability(bell, gamma,
+                                      _feasible_from_params(pattern, x))
 
-    per_restart = max(50, budget // N_RESTARTS)
+    starts = np.zeros((N_RESTARTS, ndim))
+    starts[0, 0] = 1.0
+    for restart in range(1, N_RESTARTS):
+        starts[restart] = derived_rng(seed, OPT_RESTART,
+                                      restart).standard_normal(ndim)
     best_value = -np.inf
     best_params = None
-    for restart in range(N_RESTARTS):
-        if restart == 0:
-            x0 = np.zeros(ndim)
-            x0[0] = 1.0
-        else:
-            x0 = derived_rng(seed, OPT_RESTART, restart).standard_normal(ndim)
-        result = minimize(
-            negative_objective, x0, method="Nelder-Mead",
-            options={"maxfev": per_restart, "xatol": 1e-9, "fatol": 1e-13,
-                     "adaptive": True},
-        )
-        if -result.fun > best_value:
-            best_value = -result.fun
-            best_params = result.x
+    for sim, fsim, _ in minimize(negative_objective, starts,
+                                 max(50, budget // N_RESTARTS)):
+        if -fsim[0] > best_value:
+            best_value = -fsim[0]
+            best_params = sim[0]
     return best_value, feasible_unitary(pattern, best_params)
 
 

@@ -388,18 +388,32 @@ class TestMonteCarloCommand:
         assert code == 2
 
 
-def test_module_entry_point(tmp_path):
-    out = tmp_path / "kraus.json"
-    # the child imports the same bellsym as this process, installed or not
+def child_env() -> dict:
+    """Environment in which a child process imports the same bellsym as
+    this one, installed or not."""
     source = str(Path(bellsym.__file__).parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point(tmp_path):
+    out = tmp_path / "kraus.json"
     proc = subprocess.run(
         [sys.executable, "-m", "bellsym", "kraus", "--gamma", "0.5",
          "-o", str(out)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     doc = json.loads(out.read_text())
     assert doc["schema"] == "bellsym/kraus-set/v1"
+
+
+def test_cold_start_imports_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import bellsym.cli, sys; print(sorted(m for m "
+         "in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_missing_subcommand_is_usage_error():

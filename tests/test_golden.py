@@ -35,6 +35,18 @@ CASES = {
     "optimize-B3-123": ["--seed", "7", "optimize", "--state", "B3",
                         "--gamma", "0.0", "--pattern", "1,2,3",
                         "--budget", "200", "--scan-samples", "500"],
+    "optimize-B3-1-g0": ["--seed", "11", "optimize", "--state", "B3",
+                         "--gamma", "0.0", "--pattern", "1",
+                         "--budget", "2400", "--scan-samples", "200"],
+    "optimize-B3-1-g0.3": ["--seed", "12", "optimize", "--state", "B3",
+                           "--gamma", "0.3", "--pattern", "1",
+                           "--budget", "2400", "--scan-samples", "200"],
+    "optimize-B3-12-g0": ["--seed", "13", "optimize", "--state", "B3",
+                          "--gamma", "0.0", "--pattern", "1,2",
+                          "--budget", "2400", "--scan-samples", "200"],
+    "optimize-B3-12-g0.3": ["--seed", "14", "optimize", "--state", "B3",
+                            "--gamma", "0.3", "--pattern", "1,2",
+                            "--budget", "2400", "--scan-samples", "200"],
     "montecarlo-B1-5k": ["--seed", "7", "montecarlo", "--state", "B1",
                          "--rate", "1.0", "--time", "1.0",
                          "--n-trajectories", "5000"],

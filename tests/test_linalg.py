@@ -123,6 +123,14 @@ class TestIsUnitary:
         with pytest.raises(ValueError, match="square"):
             linalg.is_unitary(np.ones((2, 4, 3)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan,
+                                     complex(0.0, np.inf)])
+    def test_non_finite_entry_is_not_unitary(self, rng, bad):
+        stack = np.stack([haar_unitary(rng) for _ in range(3)])
+        stack[1, 2, 0] = bad
+        assert not linalg.is_unitary(stack)
+        assert not linalg.is_unitary(stack[1])
+
 
 class TestValidateDensityMatrix:
     def test_accepts_random_density_matrices(self, rng):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -435,6 +436,48 @@ class TestUnitaryConstructions:
             free = [r - 1 for r in pattern.free_rows]
             assert abs(np.linalg.norm(u[free, 1]) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_hermitian_from_params_stack_matches_items(self, rng, dim):
+        theta = rng.standard_normal((5, 2, dim * dim))
+        theta[1, 0, ::2] = -0.0
+        stacked = hermitian_from_params(theta, dim)
+        assert stacked.shape == (5, 2, dim, dim)
+        singles = np.array([[hermitian_from_params(t, dim) for t in row]
+                            for row in theta])
+        assert stacked.tobytes() == singles.tobytes()
+
+    def test_expi_hermitian_stack_matches_items(self, rng):
+        h = np.stack([random_hermitian(rng, 3) for _ in range(12)])
+        stacked = expi_hermitian(h.reshape(3, 4, 3, 3))
+        singles = np.stack([expi_hermitian(item) for item in h])
+        assert stacked.tobytes() == singles.reshape(3, 4, 3, 3).tobytes()
+
+    @pytest.mark.parametrize("h", [np.ones((3, 2)), np.ones(3),
+                                   np.diag([1.0, np.inf, 0.0]),
+                                   np.full((2, 3, 3), np.nan)])
+    def test_expi_hermitian_rejects_bad_generator(self, h):
+        with pytest.raises(ValueError, match="generator"):
+            expi_hermitian(h)
+
+    @pytest.mark.parametrize("rows", [rows for k in range(4) for rows in
+                                      itertools.combinations((1, 2, 3, 4), k)])
+    def test_feasible_from_params_rows_match_feasible_unitary(self, rng,
+                                                              rows):
+        pattern = ConstraintPattern.from_rows(rows)
+        m = len(pattern.free_rows)
+        x = rng.standard_normal((60, feasible_params_dim(pattern)))
+        x[7, :2 * m] = 0.0              # zero-norm column 2: the fallback
+        x[8, :2 * m] = 1e-13            # below the fallback threshold too
+        x[9, 1:2 * m] = 0.0             # column 2 on one free row
+        x[10, 2 * m:] = 0.0             # no rotation of the completion
+        x[11, :m] = -0.0
+        stacked = symmetry._feasible_from_params(pattern, x)
+        singles = np.stack([feasible_unitary(pattern, row) for row in x])
+        assert stacked.tobytes() == singles.tobytes()
+        expected = np.stack([former_feasible_unitary(pattern, row)
+                             for row in x])
+        assert stacked.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("rows", [(), (1,), (1, 2), (1, 2, 3)])
     def test_feasible_from_normals_stack_matches_rows(self, rng, rows):
         pattern = ConstraintPattern.from_rows(rows)
@@ -473,6 +516,146 @@ class TestUnitaryConstructions:
             assert got.tobytes() == expected.tobytes()
 
 
+def former_feasible_unitary(pattern, x):
+    """The per-item feasible mixer that the batched builder replaced."""
+    free = [r - 1 for r in pattern.free_rows]
+    m = len(free)
+    c_free = x[:m] + 1j * x[m:2 * m]
+    if np.linalg.norm(c_free) < 1e-12:
+        c_free = c_free.copy()
+        c_free[0] += 1.0
+    c = np.zeros(4, dtype=complex)
+    c[free] = c_free / np.linalg.norm(c_free)
+    pivot = int(np.argmax(np.abs(c)))
+    basis = np.eye(4, dtype=complex)[:, [j for j in range(4) if j != pivot]]
+    basis, _ = np.linalg.qr(basis - np.outer(c, c.conj() @ basis))
+    theta = x[2 * m:]
+    h = np.diag(theta[:3]).astype(complex)
+    for k, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        h[i, j] = theta[3 + 2 * k] + 1j * theta[4 + 2 * k]
+        h[j, i] = np.conj(h[i, j])
+    vals, vecs = np.linalg.eigh(h)
+    w = basis @ ((vecs * np.exp(1j * vals)) @ vecs.conj().T)
+    return np.concatenate([w[:, :1], c[:, None], w[:, 1:]], axis=1)
+
+
+def run_alone(fun, x0, maxfev):
+    """One vendored Nelder-Mead run, driven without the lockstep driver."""
+    run = symmetry._nelder_mead(np.asarray(x0, dtype=float), maxfev)
+    try:
+        points = next(run)
+        while True:
+            points = run.send(fun(points))
+    except StopIteration as done:
+        return done.value
+
+
+def scipy_minimize(fun, x0, maxfev, callback=None):
+    optimize = pytest.importorskip("scipy.optimize")
+    return optimize.minimize(
+        lambda x: fun(x[None])[0], x0, method="Nelder-Mead",
+        callback=callback,
+        options={"maxfev": maxfev, "xatol": symmetry.NM_XATOL,
+                 "fatol": symmetry.NM_FATOL, "adaptive": True})
+
+
+def scipy_iteration_starts(fun, x0):
+    """Values scipy has spent when each Nelder-Mead iteration starts, and
+    how many each iteration spends: 1 for an accepted reflection, 2 with an
+    expansion or a contraction, n + 2 with a shrink."""
+    spent = []
+
+    def counted(x):
+        spent.extend(x)
+        return fun(x)
+
+    ends = [len(x0) + 1]
+    scipy_minimize(counted, x0, 20_000,
+                   callback=lambda xk: ends.append(len(spent)))
+    return [(a, b - a) for a, b in zip(ends, ends[1:])]
+
+
+def assert_matches_scipy(fun, x0, maxfev):
+    """The lockstep driver from ``x0`` returns scipy's x, fun, nfev and
+    final simplex."""
+    expected = scipy_minimize(fun, x0, maxfev)
+    ((sim, fsim, nfev),) = symmetry.minimize(fun, np.array([x0], float),
+                                             maxfev)
+    assert sim[0].tobytes() == expected.x.tobytes()
+    assert fsim[0].tobytes() == np.float64(expected.fun).tobytes()
+    assert nfev == expected.nfev
+    assert sim.tobytes() == expected.final_simplex[0].tobytes()
+    assert fsim.tobytes() == expected.final_simplex[1].tobytes()
+    return nfev
+
+
+def rosenbrock(x):
+    return np.sum(100.0 * (x[:, 1:] - x[:, :-1] ** 2) ** 2
+                  + (1.0 - x[:, :-1]) ** 2, axis=1)
+
+
+def stepped_rosenbrock(x):
+    """Rosenbrock on a grid of 0.5: its plateaus make Nelder-Mead shrink."""
+    return np.floor(2.0 * rosenbrock(x)) / 2.0
+
+
+def real_objective(x):
+    """The maximizer's objective for B3 at gamma 0 and pattern (1, 2, 3)."""
+    pattern = ConstraintPattern.from_rows([1, 2, 3])
+    return -symmetric_probability(
+        BellState.B3, 0.0, symmetry._feasible_from_params(pattern, x))
+
+
+# objective and start; near zero the real objective is flat to rounding,
+# so its simplex shrinks to NM_XATOL within ~650 values
+OBJECTIVES = {
+    "rosenbrock": (rosenbrock, [-1.2, 1.0]),
+    "stepped-rosenbrock": (stepped_rosenbrock, [-1.2, 1.0, 0.5]),
+    "real": (real_objective, [1e-6] * 11),
+}
+
+
+class TestNelderMead:
+    """The vendored Nelder-Mead against scipy's, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    def test_converged_run_matches_scipy(self, name):
+        fun, x0 = OBJECTIVES[name]
+        assert assert_matches_scipy(fun, x0, 20_000) < 20_000
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    def test_budget_spent_after_a_reflection(self, name):
+        fun, x0 = OBJECTIVES[name]
+        # the reflection of the first iteration that wants another value
+        start = next(start for start, cost in scipy_iteration_starts(fun, x0)
+                     if cost >= 2)
+        assert assert_matches_scipy(fun, x0, start + 1) == start + 1
+
+    @pytest.mark.parametrize("name", ["stepped-rosenbrock", "real"])
+    def test_budget_spent_inside_a_shrink(self, name):
+        fun, x0 = OBJECTIVES[name]
+        n = len(x0)
+        start = next(start for start, cost in scipy_iteration_starts(fun, x0)
+                     if cost == n + 2)
+        # the reflection and the contraction, then 0 to n - 1 shrunk vertices
+        for maxfev in range(start + 2, start + n + 2):
+            assert assert_matches_scipy(fun, x0, maxfev) == maxfev
+
+    def test_every_budget_matches_scipy(self):
+        fun, x0 = stepped_rosenbrock, [-1.2, 1.0]
+        _, _, nfev = run_alone(fun, x0, 20_000)
+        for maxfev in range(1, nfev + 2):
+            assert_matches_scipy(fun, x0, maxfev)
+
+    def test_lockstep_runs_match_runs_alone(self, rng):
+        starts = rng.standard_normal((5, 3))
+        runs = symmetry.minimize(stepped_rosenbrock, starts, 400)
+        for x0, (sim, fsim, nfev) in zip(starts, runs):
+            sim1, fsim1, nfev1 = run_alone(stepped_rosenbrock, x0, 400)
+            assert (sim.tobytes(), fsim.tobytes(), nfev) \
+                == (sim1.tobytes(), fsim1.tobytes(), nfev1)
+
+
 class TestMaximize:
     def test_corner_state_attains_unity(self):
         p, mixer = maximize_symmetric_probability(
@@ -493,6 +676,23 @@ class TestMaximize:
             u = sample_feasible_unitary(pattern, derived_rng(11, HAAR_SCAN, i))
             p = symmetric_probability(BellState.B3, 0.0, u)
             assert abs(p - 0.5) <= 1e-12
+
+    def test_first_of_tied_restarts_wins(self, monkeypatch):
+        pattern = ConstraintPattern.from_rows([1])
+        x = np.random.default_rng(3).standard_normal(
+            (3, feasible_params_dim(pattern)))
+        runs = [(x[i:i + 1], np.array([f]), 50)
+                for i, f in enumerate([-0.25, -0.5, -0.5])]
+        monkeypatch.setattr(symmetry, "minimize", lambda *args: runs)
+        p, mixer = maximize_symmetric_probability(BellState.B3, 0.0, pattern)
+        assert p == 0.5
+        assert mixer.tobytes() == feasible_unitary(pattern, x[1]).tobytes()
+
+    def test_non_finite_mixer_rejected_without_warning(self):
+        m = np.eye(4)
+        m[0, 0] = np.inf
+        with pytest.raises(ValueError, match="unitary"):
+            symmetric_probability(BellState.B3, 0.0, m)
 
     def test_zero_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
