@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import validate_density_matrix
-from .rng import TRAJECTORY, item_rngs
+from .rng import TRAJECTORY, fill_normals, item_rngs
 
 __all__ = [
     "ChannelParams",
@@ -140,28 +140,55 @@ def apply_dephasing(rho0, params: ChannelParams) -> np.ndarray:
     return dephase_with_factors(rho0, params.gamma_a, params.gamma_b)
 
 
-def _trajectory_phases(params: ChannelParams, cfg: NoiseTrajectoryConfig,
-                       n_steps: int) -> np.ndarray:
-    """Accumulated random phases, shape (n_trajectories, 2) for qubits A, B.
+# Most Wiener increments one trajectory may take per qubit: its (2,
+# MAX_STEPS) increments fill 64 MiB. Drawing more in pieces would round the
+# step sum differently, so longer trajectories are refused.
+MAX_STEPS = 2**22
+# Doubles a chunk of Monte-Carlo trajectories may hold (8 B each, 512 KiB):
+# each trajectory of a chunk takes 2 * n_steps normals and a 4x4 complex
+# sample (32 doubles). Memory beyond the chunk is the (n_trajectories, 2)
+# phases, 16 B per trajectory; the results do not depend on the chunk size.
+MC_CHUNK_DOUBLES = 2**16
 
-    Trajectory ``i`` draws from a counter-based stream derived from the seed
-    and the trajectory index, so the result is independent of how
-    trajectories are batched or scheduled.
+
+def _phase_step(params: ChannelParams, cfg: NoiseTrajectoryConfig,
+                n_steps: int) -> np.ndarray:
+    """Scale of one Wiener step of the phases of qubits A and B, shape (2,).
+
+    Field-integral increments have variance (Gamma / mu^2) * dt; the phase
+    is mu times their sum, hence exactly Gaussian with variance Gamma * t.
+    mu only sets the sign of a step, so mu^2 is never formed: it would
+    overflow or underflow for |mu| beyond about 1e154 or below 1e-154.
     """
-    dt_eff = params.time / n_steps
-    # Field-integral increments have variance (Gamma / mu^2) * dt; the phase
-    # is mu times their sum, hence exactly Gaussian with variance Gamma * t.
-    # mu only sets the sign of a step, so mu^2 is never formed: it would
-    # overflow or underflow for |mu| beyond about 1e154 or below 1e-154.
     rates = np.array([params.gamma_rate_a, params.gamma_rate_b])
-    step = np.copysign(np.sqrt(rates * dt_eff), cfg.mu)
-    phases = np.empty((cfg.n_trajectories, 2))
-    increments = np.empty((2, n_steps))
-    streams = item_rngs(cfg.seed, TRAJECTORY, range(cfg.n_trajectories))
-    for i, rng in enumerate(streams):
-        rng.standard_normal(out=increments)
-        phases[i] = step * increments.sum(axis=1)
-    return phases
+    dt_eff = params.time / n_steps
+    with np.errstate(over="ignore"):
+        var = rates * dt_eff
+    # The product of the roots cannot overflow, but it rounds differently
+    # from the root of the product, so it stands in only where that is inf.
+    root = np.where(np.isinf(var), np.sqrt(rates) * np.sqrt(dt_eff),
+                    np.sqrt(var))
+    return np.copysign(root, cfg.mu)
+
+
+def _samples(phases: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+    """States (m, 4, 4) of trajectories with accumulated phases (m, 2)."""
+    angle = 0.5 * (np.outer(phases[:, 0], _SIGN_A)
+                   + np.outer(phases[:, 1], _SIGN_B))
+    u = np.exp(1j * angle)                               # (m, 4) diag unitaries
+    return (u[:, :, None] * u[:, None, :].conj()) * rho0
+
+
+def _running_sum(total, x: np.ndarray) -> np.ndarray:
+    """``total`` plus the rows of ``x`` added in index order.
+
+    numpy's axis-0 sum adds rows in order, so carrying ``total`` in front of
+    each chunk gives the bits of one sum over all rows. The first chunk
+    (``total`` None) is summed alone, as numpy starts the sum of all rows.
+    """
+    if total is None:
+        return x.sum(axis=0)
+    return np.concatenate((total[None], x)).sum(axis=0)
 
 
 def monte_carlo_dephasing(
@@ -177,6 +204,14 @@ def monte_carlo_dephasing(
     maximum over the 16 entries of the standard errors of the mean, taken
     over real and imaginary components separately (a single conservative
     figure).
+
+    Trajectory ``i`` draws its increments from a counter-based stream
+    derived from the seed and the trajectory index. Trajectories run in
+    chunks (``MC_CHUNK_DOUBLES``), the sums run in trajectory order, and
+    only the phases are kept between the two passes the standard error
+    needs, so memory is bounded for any trajectory count and the result is
+    bitwise that of one pass over all trajectories at once. More than
+    ``MAX_STEPS`` steps raise ``ValueError``.
     """
     rho0 = validate_density_matrix(rho0)
     if params.time == 0.0:
@@ -186,20 +221,32 @@ def monte_carlo_dephasing(
     if not np.isfinite(steps):
         raise ValueError(f"time/dt = {steps} is not a finite step count")
     n_steps = max(1, int(round(steps)))
-
-    phases = _trajectory_phases(params, cfg, n_steps)
-    angle = 0.5 * (np.outer(phases[:, 0], _SIGN_A)
-                   + np.outer(phases[:, 1], _SIGN_B))
-    u = np.exp(1j * angle)                               # (n, 4) diag unitaries
-    samples = (u[:, :, None] * u[:, None, :].conj()) * rho0[None, :, :]
-    rho_est = samples.mean(axis=0)
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"time/dt = {steps:g} steps per trajectory exceeds "
+                         f"the cap of {MAX_STEPS}")
 
     n = cfg.n_trajectories
-    if n > 1:
-        sem_real = samples.real.std(axis=0, ddof=1) / np.sqrt(n)
-        sem_imag = samples.imag.std(axis=0, ddof=1) / np.sqrt(n)
-        stderr = float(max(sem_real.max(), sem_imag.max()))
-    else:
+    step = _phase_step(params, cfg, n_steps)
+    rows = max(1, MC_CHUNK_DOUBLES // (2 * n_steps + 32))
+    phases = np.empty((n, 2))
+    z = np.empty((min(rows, n), 2, n_steps))
+    rngs = item_rngs(cfg.seed, TRAJECTORY, range(n))
+    total = None
+    for start in range(0, n, rows):
+        chunk = phases[start:start + rows]
+        chunk[:] = step * fill_normals(z[:len(chunk)], rngs).sum(axis=-1)
+        total = _running_sum(total, _samples(chunk, rho0))
+    rho_est = total / n
+    if n == 1:
         # one sample gives no spread estimate
-        stderr = float("inf")
-    return rho_est, stderr
+        return rho_est, float("inf")
+
+    # ddof=1 standard deviations of the real and imaginary parts, as
+    # np.std computes them: squared deviations from the mean, summed in order
+    mean = total.view(float) / n                         # (4, 8) re, im pairs
+    sq = None
+    for start in range(0, n, rows):
+        dev = _samples(phases[start:start + rows], rho0).view(float) - mean
+        sq = _running_sum(sq, np.square(dev, out=dev))
+    sem = np.sqrt(sq / (n - 1)) / np.sqrt(n)
+    return rho_est, float(sem.max())

@@ -10,7 +10,8 @@ Item ``index`` of ``stream`` under ``seed`` is the Philox stream with key
 builds one such generator; :func:`item_rngs` re-keys a single Philox in
 place for each item of a run, which draws the same numbers without building
 a new generator per item (a counter-based generator's state is only its key
-and counter).
+and counter). :func:`fill_normals` fills one row of a chunk per item, the
+draw every chunked scan and Monte-Carlo run makes.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["derived_rng", "item_rngs", "TRAJECTORY", "HAAR_SCAN",
-           "OPT_RESTART", "FEASIBLE_SCAN"]
+__all__ = ["derived_rng", "item_rngs", "fill_normals", "TRAJECTORY",
+           "HAAR_SCAN", "OPT_RESTART", "FEASIBLE_SCAN"]
 
 # stream namespaces
 TRAJECTORY = 0
@@ -64,6 +65,18 @@ def item_rngs(seed: int, stream: int,
     """
     _item_word(seed, stream, 0)
     return _rekeyed(seed, stream, indices)
+
+
+def fill_normals(out: np.ndarray,
+                 rngs: Iterator[np.random.Generator]) -> np.ndarray:
+    """Fill each row ``out[i]`` with standard normals from the next of ``rngs``.
+
+    Takes exactly ``len(out)`` generators from ``rngs``, so successive chunks
+    of one run can share the iterator. Rows must be C-contiguous.
+    """
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
+    return out
 
 
 def _rekeyed(seed: int, stream: int,

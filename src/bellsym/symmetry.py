@@ -46,7 +46,7 @@ import numpy as np
 from . import linalg
 from .kraus import KrausFactors, _mixer_stack
 from .rng import (FEASIBLE_SCAN, HAAR_SCAN, OPT_RESTART, derived_rng,
-                  item_rngs)
+                  fill_normals, item_rngs)
 
 __all__ = [
     "BellState",
@@ -651,9 +651,8 @@ def _scan(bell, gamma, n_samples, seed, stream, shape, build) -> ScanResult:
     total = 0.0
     rngs = item_rngs(seed, stream, range(n_samples))
     for start in range(0, n_samples, SCAN_CHUNK):
-        z = np.empty((min(SCAN_CHUNK, n_samples - start),) + shape)
-        for row, rng in zip(z, rngs):
-            rng.standard_normal(out=row)
+        z = fill_normals(
+            np.empty((min(SCAN_CHUNK, n_samples - start),) + shape), rngs)
         p = symmetric_probability(bell, gamma, build(z))
         p_max = max(p_max, p.max())
         p_min = min(p_min, p.min())

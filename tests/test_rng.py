@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bellsym.rng import derived_rng, item_rngs
+from bellsym.rng import derived_rng, fill_normals, item_rngs
 
 MAX_SEED = 2**64 - 1
 MAX_INDEX = 2**56 - 1
@@ -42,6 +42,17 @@ def test_item_rngs_match_derived_rng_on_every_stream():
 def test_item_rngs_yield_one_generator_per_index():
     assert len(list(item_rngs(1, 2, range(10)))) == 10
     assert list(item_rngs(1, 2, [])) == []
+
+
+def test_fill_normals_takes_one_stream_per_row():
+    # two chunks share one iterator: rows 0-2, then rows 3-4
+    rngs = item_rngs(9, 1, range(5))
+    first = fill_normals(np.empty((3, 2, 4)), rngs)
+    second = fill_normals(np.empty((2, 2, 4)), rngs)
+    for index, row in enumerate(np.concatenate((first, second))):
+        assert np.array_equal(row,
+                              derived_rng(9, 1, index).standard_normal((2, 4)))
+    assert list(rngs) == []
 
 
 @pytest.mark.parametrize("seed,stream", [
