@@ -13,21 +13,23 @@ Subcommands::
 A single top-level ``--seed`` governs every stochastic subcommand and
 defaults to 0, never to entropy, so runs are reproducible by default.
 Numbers in CSV files carry 17 significant digits (round-trip exact for
-doubles). Exit codes: 0 success, 2 usage or parameter validation, 3 input
-file problems, 4 numerical failure.
+doubles). Exit codes: 0 success, 2 usage or parameter validation (a
+request too large for memory included), 3 input file problems, 4
+numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 
-from . import channel, kraus, spinbath, symmetry
+from . import channel, kraus, rng, spinbath, symmetry
 from .kraus import CompletePositivityError, _matrix_to_pairs
 
 __all__ = ["main", "build_parser"]
@@ -47,10 +49,6 @@ class InputFileError(Exception):
     """An input file is missing or malformed."""
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 @contextmanager
 def _open_out(path: str | None):
     if path is None:
@@ -60,16 +58,19 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _write_csv(path: str | None, header: list[str], table) -> None:
-    """Write the rows of the float array ``table``; like a JSON report, a
-    table holding a NaN or an infinity is not written."""
+def _write_csv(path: str | None, header: tuple[str, ...], table) -> None:
+    """Write the rows of the float array ``table``, each cell ``%.17g``;
+    like a JSON report, a table holding a NaN or an infinity is not
+    written."""
     if not np.all(np.isfinite(table)):
         raise NonFiniteOutputError("table not written: it holds a NaN or an "
                                    "infinity")
+    # format before opening the output, so a failure leaves no partial file
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    text = ",".join(header) + "\n" + "".join(
+        [row % tuple(v) for v in table.tolist()])
     with _open_out(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in table.tolist():
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        fh.write(text)
 
 
 class NonFiniteOutputError(ArithmeticError):
@@ -86,17 +87,12 @@ def _write_json(path: str | None, doc: dict) -> None:
         fh.write(text + "\n")
 
 
-def _state_header() -> list[str]:
-    cols = []
-    for i in range(1, 5):
-        for j in range(1, 5):
-            cols.append(f"rho{i}{j}_re")
-            cols.append(f"rho{i}{j}_im")
-    return cols
+_STATE_HEADER = tuple(f"rho{i}{j}_{part}" for i in range(1, 5)
+                      for j in range(1, 5) for part in ("re", "im"))
 
 
 def _state_columns(rhos: np.ndarray) -> np.ndarray:
-    """States (T, 4, 4) as T rows of re, im pairs in _state_header order."""
+    """States (T, 4, 4) as T rows of re, im pairs in _STATE_HEADER order."""
     return rhos.reshape(-1, 16).view(np.float64)
 
 
@@ -119,7 +115,7 @@ def _cmd_evolve(args) -> None:
     gammas = channel.gamma_factor(args.rate, times)
     rhos = channel.dephase_with_factors(rho0, gammas, gammas)
     table = np.column_stack([times, gammas, _state_columns(rhos)])
-    _write_csv(args.output, ["t", "gamma"] + _state_header(), table)
+    _write_csv(args.output, ("t", "gamma") + _STATE_HEADER, table)
 
 
 def _cmd_kraus(args) -> None:
@@ -147,6 +143,8 @@ def _parse_pattern(text: str) -> symmetry.ConstraintPattern:
 def _cmd_optimize(args) -> None:
     if args.scan_samples < 1:
         raise ValueError(f"--scan-samples must be >= 1, got {args.scan_samples}")
+    # the scan runs after the search: refuse its stream indices before it
+    rng.item_rngs(args.seed, rng.FEASIBLE_SCAN, range(args.scan_samples))
     if not (np.isfinite(args.agreement_tol) and args.agreement_tol >= 0.0):
         raise ValueError("--agreement-tol must be finite and >= 0, got "
                          f"{args.agreement_tol}")
@@ -209,13 +207,15 @@ def _cmd_spinbath(args) -> None:
             omega_range=(args.omega_min, args.omega_max))
     times = _time_grid(args)
     r = spinbath.decoherence_series(bath, times)
-    header = ["t", "r_re", "r_im", "r_abs"]
+    header = ("t", "r_re", "r_im", "r_abs")
     # np.hypot rounds like abs() of one complex scalar; np.abs may not
     columns = [times, r.real, r.imag, np.hypot(r.real, r.imag)]
     if args.state is not None:
-        header += _state_header()
-        psi0 = symmetry.BellState(args.state).vector
-        rhos = spinbath.reduced_density(bath, bath, psi0, times)
+        header += _STATE_HEADER
+        # reduced_density(bath, bath, psi0, times), with r computed once
+        psi0 = spinbath.validate_central_state(
+            symmetry.BellState(args.state).vector)
+        rhos = spinbath._reduced_from_factors(psi0, r, r)
         columns.append(_state_columns(rhos))
     _write_csv(args.output, header, np.column_stack(columns))
 
@@ -343,10 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building it costs more than most subcommands
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:        # argparse uses 2 for usage errors
         return int(exc.code or 0)
     try:
@@ -359,6 +362,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: request too large for memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 

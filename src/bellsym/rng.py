@@ -61,9 +61,13 @@ def item_rngs(seed: int, stream: int,
     Each yielded generator draws exactly what ``derived_rng(seed, stream,
     index)`` would. It is one generator object, re-keyed in place before
     each yield, so draw from it before advancing the iterator. Seed and
-    stream are checked here, each index when its turn comes.
+    stream are checked here, and so are the first and last index when
+    ``indices`` is a ``range``; other indices when their turn comes.
     """
     _item_word(seed, stream, 0)
+    if isinstance(indices, range) and indices:
+        _item_word(seed, stream, indices[0])
+        _item_word(seed, stream, indices[-1])
     return _rekeyed(seed, stream, indices)
 
 

@@ -179,8 +179,13 @@ def reduced_density(bath_a: BathSpec, bath_b: BathSpec, psi0, t) -> np.ndarray:
     grid of T times, giving shape (T, 4, 4).
     """
     psi0 = validate_central_state(psi0)
-    r1 = decoherence_factor(bath_a, t)
-    r2 = decoherence_factor(bath_b, t)
+    return _reduced_from_factors(psi0, decoherence_factor(bath_a, t),
+                                 decoherence_factor(bath_b, t))
+
+
+def _reduced_from_factors(psi0: np.ndarray, r1, r2) -> np.ndarray:
+    """:func:`reduced_density` of a valid ``psi0`` from the decoherence
+    factors ``r1``, ``r2`` of the two baths (one value or one per time)."""
     rho0 = np.outer(psi0, psi0.conj())
     return _qubit_factor(r1, _BIT_1) * _qubit_factor(r2, _BIT_2) * rho0
 

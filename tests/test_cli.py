@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -5,14 +6,16 @@ import re
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import bellsym
-from bellsym import kraus, spinbath, symmetry
+from bellsym import cli, kraus, spinbath, symmetry
 from bellsym.cli import main
 from bellsym.kraus import CompletePositivityError
 
@@ -494,3 +497,172 @@ def test_fuzzed_argv_ends_in_a_documented_exit_code(argv):
             assert not _NON_FINITE_TOKEN.search(out.read_text())
         else:
             assert not out.exists()
+
+
+# Requests of 10**15 items or more: no machine holds them, so the allocation
+# is refused at once and nothing is ever really allocated.
+HUGE = str(10**15)
+
+
+@pytest.mark.parametrize("command", [
+    ["evolve", "--state", "B1", "--rate", "1", "--t-max", "1",
+     "--n-points", HUGE],
+    ["spinbath", "--n-spins", "3", "--t-max", "1", "--n-points", HUGE],
+    ["spinbath", "--n-spins", HUGE, "--t-max", "1", "--n-points", "3"],
+    ["montecarlo", "--state", "B1", "--rate", "1", "--time", "1",
+     "--n-trajectories", HUGE],
+])
+def test_request_too_large_for_memory_is_usage_error(tmp_path, capsys,
+                                                      command):
+    out = tmp_path / "out"
+    assert main(command + ["-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+# one more item than a stream's 2^56 indices hold
+BEYOND_INDEX_SPACE = str(2**56 + 1)
+
+
+def test_scan_beyond_index_space_is_refused_up_front(tmp_path, capsys,
+                                                     monkeypatch):
+    def no_samples(*args):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(symmetry, "fill_normals", no_samples)
+    out = tmp_path / "scan.json"
+    code = main(["symmetry-scan", "--state", "B3", "--gamma", "0",
+                 "--n-samples", BEYOND_INDEX_SPACE, "-o", str(out)])
+    assert code == 2
+    assert "2^56" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_samples_beyond_index_space_are_refused_before_search(
+        tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the optimizer ran")
+    monkeypatch.setattr(symmetry, "maximize_symmetric_probability", no_search)
+    out = tmp_path / "opt.json"
+    code = main(["optimize", "--state", "B3", "--gamma", "0",
+                 "--scan-samples", BEYOND_INDEX_SPACE, "-o", str(out)])
+    assert code == 2
+    assert "2^56" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Calls of one process that share the cached parser: a valid spinbath with
+# and without -o, a usage error, --help, a rejected --rate, then three more
+# subcommands. "{out}" is the output file of the first call.
+PARSER_REUSE_SEQUENCE = (
+    ["--seed", "4", "spinbath", "--n-spins", "5", "--t-max", "2",
+     "--n-points", "4", "--state", "B3", "-o", "{out}"],
+    ["--seed", "4", "spinbath", "--n-spins", "5", "--t-max", "2",
+     "--n-points", "4", "--state", "B3"],
+    ["evolve", "--state", "B1", "--t-max", "1"],
+    ["--help"],
+    ["evolve", "--state", "B1", "--rate", "nan", "--t-max", "1"],
+    ["evolve", "--state", "B2", "--rate", "0.5", "--t-max", "1",
+     "--n-points", "3"],
+    ["kraus", "--gamma", "0.25"],
+    ["--seed", "2", "symmetry-scan", "--state", "B3", "--gamma", "0",
+     "--n-samples", "20"],
+)
+
+
+def _run_sequence(out: Path, capsys, fresh_parser: bool) -> list:
+    """Exit code, stdout, stderr and output file bytes after each call."""
+    results = []
+    for argv in PARSER_REUSE_SEQUENCE:
+        if fresh_parser:
+            cli._parser.cache_clear()
+        code = main([arg.replace("{out}", str(out)) for arg in argv])
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err, out.read_bytes()))
+    return results
+
+
+def test_parser_reuse_matches_a_fresh_parser(tmp_path, capsys):
+    reused = _run_sequence(tmp_path / "reused.csv", capsys, False)
+    assert cli._parser() is cli._parser()
+    fresh = _run_sequence(tmp_path / "fresh.csv", capsys, True)
+    assert reused == fresh
+    assert [code for code, *_ in reused] == [0, 0, 2, 0, 2, 0, 0, 0]
+    first_file = reused[0][3]
+    # the second call has no -o: it prints the table and leaves the file
+    assert reused[1][1].encode() == first_file
+    assert all(file == first_file for *_, file in reused)
+    assert reused[0][1] == "" and reused[3][1].startswith("usage: bellsym")
+
+
+# Finite doubles with the edge cases always in the mix: +-0, the smallest
+# subnormal, the subnormal/normal boundary and +-max.
+_CSV_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+              2.2250738585072014e-308, 1.7976931348623157e308,
+              -1.7976931348623157e308)
+CSV_CELLS = st.one_of(st.sampled_from(_CSV_EDGES),
+                      st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _csv_text(header, table) -> str:
+    with redirect_stdout(io.StringIO()) as buf:
+        cli._write_csv(None, header, table)
+    return buf.getvalue()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(table=st.sampled_from((4, 34, 36)).flatmap(
+    lambda width: hnp.arrays(np.float64, st.tuples(st.integers(1, 6),
+                                                   st.just(width)),
+                             elements=CSV_CELLS)))
+def test_csv_matches_per_cell_reference(table):
+    header = tuple(f"c{k}" for k in range(table.shape[1]))
+    lines = _csv_text(header, table).split("\n")
+    assert lines[0] == ",".join(header) and lines[-1] == ""
+    assert len(lines) == len(table) + 2
+    for line, row in zip(lines[1:], table.tolist()):
+        assert line == ",".join(format(x, ".17g") for x in row)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_table_leaves_existing_output(tmp_path, bad):
+    out = tmp_path / "table.csv"
+    out.write_text("kept\n")
+    table = np.zeros((3, 4))
+    table[1, 2] = bad
+    with pytest.raises(cli.NonFiniteOutputError):
+        cli._write_csv(str(out), ("a", "b", "c", "d"), table)
+    assert out.read_text() == "kept\n"
+
+
+def test_non_finite_spinbath_keeps_existing_output(tmp_path, capsys):
+    out = tmp_path / "sb.csv"
+    out.write_text("kept\n")
+    code = main(["spinbath", "--n-spins", "3", "--t-max", "1e300",
+                 "--omega-max", "1e300", "--n-points", "3", "--state", "B3",
+                 "-o", str(out)])
+    assert code == 4
+    assert "numerical failure" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+
+
+def test_spinbath_state_evaluates_r_once(tmp_path, monkeypatch):
+    original = spinbath.decoherence_factor
+    calls = []
+
+    def counting(bath, t):
+        calls.append(t)
+        return original(bath, t)
+
+    monkeypatch.setattr(spinbath, "decoherence_factor", counting)
+    out = tmp_path / "sb.csv"
+    assert main(["--seed", "4", "spinbath", "--n-spins", "6", "--amplitudes",
+                 "random", "--t-max", "2", "--n-points", "9", "--state", "B3",
+                 "-o", str(out)]) == 0
+    assert len(calls) == 1
+    # the state columns are bitwise those of reduced_density
+    monkeypatch.undo()
+    _, rows = read_csv(out)
+    bath = spinbath.random_bath(6, seed=4, equal_amplitudes=False)
+    rhos = spinbath.reduced_density(bath, bath, symmetry.BellState.B3.vector,
+                                    rows[:, 0])
+    assert np.array_equal(rows[:, 4:], cli._state_columns(rhos))

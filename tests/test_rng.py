@@ -83,3 +83,17 @@ def test_seeds_above_2_63_keep_distinct_streams():
     first = {seed: derived_rng(seed, 0, 0).standard_normal(4).tobytes()
              for seed in (0, 2**63, 2**63 + 1, MAX_SEED)}
     assert len(set(first.values())) == 4
+
+
+@pytest.mark.parametrize("indices", [
+    range(2**56 + 1), range(-1, 3), range(2**56, 0, -1), range(10**30),
+])
+def test_out_of_range_index_range_rejected_up_front(indices):
+    with pytest.raises(ValueError, match="index"):
+        item_rngs(0, 0, indices)
+
+
+def test_full_index_range_accepted():
+    rngs = item_rngs(0, 0, range(2**56))
+    assert np.array_equal(next(rngs).standard_normal(2),
+                          derived_rng(0, 0, 0).standard_normal(2))
