@@ -149,6 +149,10 @@ MAX_STEPS = 2**22
 # sample (32 doubles). Memory beyond the chunk is the (n_trajectories, 2)
 # phases, 16 B per trajectory; the results do not depend on the chunk size.
 MC_CHUNK_DOUBLES = 2**16
+# Largest spread sqrt(rate * time) of a phase. No normal numpy draws exceeds
+# 14 in magnitude, so phases stay below 14 * sqrt(MAX_STEPS) times this,
+# ~3e304, and the sum of two stays finite.
+MAX_PHASE_SD = 1e300
 
 
 def _phase_step(params: ChannelParams, cfg: NoiseTrajectoryConfig,
@@ -211,12 +215,18 @@ def monte_carlo_dephasing(
     only the phases are kept between the two passes the standard error
     needs, so memory is bounded for any trajectory count and the result is
     bitwise that of one pass over all trajectories at once. More than
-    ``MAX_STEPS`` steps raise ``ValueError``.
+    ``MAX_STEPS`` steps or a phase spread above ``MAX_PHASE_SD`` raise
+    ``ValueError``.
     """
     rho0 = validate_density_matrix(rho0)
     if params.time == 0.0:
         return rho0.copy(), 0.0
 
+    rate = max(params.gamma_rate_a, params.gamma_rate_b)
+    spread = np.sqrt(rate) * np.sqrt(params.time)
+    if spread > MAX_PHASE_SD:
+        raise ValueError(f"sqrt(rate * time) = {spread:g} exceeds the cap of "
+                         f"{MAX_PHASE_SD:g}: the phases would overflow")
     steps = params.time / cfg.dt
     if not np.isfinite(steps):
         raise ValueError(f"time/dt = {steps} is not a finite step count")

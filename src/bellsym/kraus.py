@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .channel import attenuation_pattern
-from .linalg import dagger, validate_density_matrix
+from .linalg import validate_density_matrix
 
 __all__ = [
     "CompletePositivityError",
@@ -90,39 +90,46 @@ class KrausFactors:
         ], dtype=np.complex128)
 
 
+def _operators_of(kraus) -> np.ndarray:
+    """The stack of a KrausSet, or a sequence or stack of 4x4 matrices as a
+    new finite complex stack (k, 4, 4) with k >= 1."""
+    if isinstance(kraus, KrausSet):
+        return kraus.operators
+    ops = np.array(kraus, dtype=np.complex128)
+    if ops.size == 0:
+        raise ValueError("a Kraus set needs at least one operator")
+    if ops.shape[1:] != (4, 4):
+        raise ValueError(f"Kraus operators must be 4x4, got shape {ops.shape}")
+    if not np.all(np.isfinite(ops)):
+        raise ValueError("Kraus operator has a NaN or an infinite entry")
+    return ops
+
+
 def completeness_residual(operators: Sequence[np.ndarray]) -> float:
     """||sum_mu K_mu^dag K_mu - I||_max."""
-    ops = [linalg.as_square_matrix(k, "Kraus operator") for k in operators]
-    total = sum(dagger(k) @ k for k in ops)
-    return linalg.max_abs(total - np.eye(ops[0].shape[0]))
+    ops = _operators_of(operators)
+    return linalg.max_abs(np.einsum("kji,kjl->il", ops.conj(), ops)
+                          - np.eye(4))
 
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """An ordered list of 4x4 Kraus operators satisfying completeness.
+    """A read-only stack (k, 4, 4) of Kraus operators satisfying completeness.
 
     ``gamma`` records the dephasing parameter of the channel the set
     represents when known (None for sets extracted from an arbitrary Choi
     matrix).
     """
 
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
     label: str = "custom"
     gamma: float | None = None
 
     def __post_init__(self):
-        if len(self.operators) < 1:
-            raise ValueError("a Kraus set needs at least one operator")
-        ops = []
-        for k in self.operators:
-            k = linalg.as_square_matrix(k, "Kraus operator")
-            if k.shape != (4, 4):
-                raise ValueError(f"Kraus operators must be 4x4, got {k.shape}")
-            k = k.copy()
-            k.setflags(write=False)
-            ops.append(k)
-        object.__setattr__(self, "operators", tuple(ops))
-        residual = completeness_residual(self.operators)
+        ops = _operators_of(self.operators)
+        ops.setflags(write=False)
+        object.__setattr__(self, "operators", ops)
+        residual = completeness_residual(ops)
         if not residual <= COMPLETENESS_TOL:
             raise ValueError(
                 "Kraus set violates completeness: residual "
@@ -138,14 +145,9 @@ class KrausSet:
 def canonical_kraus(gamma: float) -> KrausSet:
     """The four diagonal Kraus operators of the dephasing channel at ``gamma``."""
     factors = KrausFactors.from_gamma(gamma)
-    ops = tuple(np.diag(row) for row in factors.diagonals())
+    ops = np.zeros((4, 4, 4), dtype=np.complex128)
+    ops[:, range(4), range(4)] = factors.diagonals()
     return KrausSet(operators=ops, label="canonical", gamma=factors.gamma)
-
-
-def _operators_of(kraus: Union[KrausSet, Sequence[np.ndarray]]):
-    if isinstance(kraus, KrausSet):
-        return kraus.operators
-    return tuple(linalg.as_square_matrix(k, "Kraus operator") for k in kraus)
 
 
 def apply_kraus(kraus: Union[KrausSet, Sequence[np.ndarray]], rho) -> np.ndarray:
@@ -157,10 +159,7 @@ def apply_kraus(kraus: Union[KrausSet, Sequence[np.ndarray]], rho) -> np.ndarray
         if not residual <= COMPLETENESS_TOL:
             raise ValueError(f"incomplete Kraus set: residual {residual:.3e}")
     rho = validate_density_matrix(rho)
-    out = np.zeros_like(rho)
-    for k in ops:
-        out += k @ rho @ dagger(k)
-    return out
+    return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def choi_from_factors(gamma_a: float, gamma_b: float) -> np.ndarray:
@@ -176,19 +175,11 @@ def choi_from_factors(gamma_a: float, gamma_b: float) -> np.ndarray:
     return choi
 
 
-def _vec(k: np.ndarray) -> np.ndarray:
-    # column-stacking: outer index of the 16-vector is the column of k
-    return k.T.reshape(16)
-
-
 def choi_of_kraus(kraus: Union[KrausSet, Sequence[np.ndarray]]) -> np.ndarray:
     """Choi matrix induced by a Kraus set, sum_mu vec(K_mu) vec(K_mu)^dag."""
-    ops = _operators_of(kraus)
-    choi = np.zeros((16, 16), dtype=np.complex128)
-    for k in ops:
-        v = _vec(k)
-        choi += np.outer(v, v.conj())
-    return choi
+    # column-stacking: outer index of each 16-vector is the column of K_mu
+    vecs = _operators_of(kraus).transpose(0, 2, 1).reshape(-1, 16)
+    return np.einsum("ki,kj->ij", vecs, vecs.conj())
 
 
 def kraus_from_choi(choi) -> KrausSet:
@@ -207,12 +198,10 @@ def kraus_from_choi(choi) -> KrausSet:
         raise CompletePositivityError(
             f"Choi matrix has eigenvalue {vals[-1]:.3e} < -{CP_TOL:g}; "
             "the map is not completely positive")
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam <= CHOI_EIG_CUTOFF:
-            continue
-        ops.append(math.sqrt(lam) * v.reshape(4, 4).T)
-    return KrausSet(operators=tuple(ops), label="choi-extracted")
+    keep = vals > CHOI_EIG_CUTOFF
+    unstacked = vecs.T[keep].reshape(-1, 4, 4).transpose(0, 2, 1)
+    return KrausSet(operators=np.sqrt(vals[keep])[:, None, None] * unstacked,
+                    label="choi-extracted")
 
 
 def _mixer_stack(mixer) -> np.ndarray:
@@ -237,9 +226,8 @@ def mix_kraus(kraus: KrausSet, mixer) -> KrausSet:
     if len(kraus) != 4:
         raise ValueError(f"mixing requires exactly 4 operators, got {len(kraus)}")
     (mixer,) = _mixer_stack(linalg.as_square_matrix(mixer, "mixer"))
-    stacked = np.stack(kraus.operators)
-    mixed = np.einsum("ij,jkl->ikl", mixer, stacked)
-    return KrausSet(operators=tuple(mixed), label="mixed", gamma=kraus.gamma)
+    mixed = np.einsum("ij,jkl->ikl", mixer, kraus.operators)
+    return KrausSet(operators=mixed, label="mixed", gamma=kraus.gamma)
 
 
 def channels_equal(a: Union[KrausSet, Sequence[np.ndarray]],
@@ -254,11 +242,11 @@ def _matrix_to_pairs(k: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _matrix_from_pairs(pairs, dim: int = 4) -> np.ndarray:
+def _matrix_from_pairs(pairs) -> np.ndarray:
     flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    if flat.size != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {flat.size}")
-    return flat.reshape(dim, dim)
+    if flat.size != 16:
+        raise ValueError(f"expected 16 entries, got {flat.size}")
+    return flat.reshape(4, 4)
 
 
 def kraus_set_to_dict(kraus: KrausSet) -> dict:
@@ -272,7 +260,7 @@ def kraus_set_to_dict(kraus: KrausSet) -> dict:
 
 
 def kraus_set_from_dict(doc: dict) -> KrausSet:
-    ops = tuple(_matrix_from_pairs(p) for p in doc["operators"])
+    ops = np.array([_matrix_from_pairs(p) for p in doc["operators"]])
     gamma = doc.get("gamma")
     return KrausSet(
         operators=ops,

@@ -7,16 +7,18 @@ same seed can drive several subsystems without their draws overlapping.
 
 Item ``index`` of ``stream`` under ``seed`` is the Philox stream with key
 ``[seed, (stream << 56) + index]`` and counter zero. :func:`derived_rng`
-builds one such generator; :func:`item_rngs` re-keys a single Philox in
-place for each item of a run, which draws the same numbers without building
-a new generator per item (a counter-based generator's state is only its key
-and counter). :func:`fill_normals` fills one row of a chunk per item, the
-draw every chunked scan and Monte-Carlo run makes.
+builds one such generator. A run draws its items, a ``range`` of indices,
+through :func:`item_rngs`: it checks the range once, before any draw, then
+re-keys a single Philox in place for each item, which draws what
+:func:`derived_rng` would without building a new generator per item (a
+counter-based generator's state is only its key and counter).
+:func:`fill_normals` fills one row of an array per item, the draw every
+scan, Monte-Carlo run and optimizer start makes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -33,11 +35,6 @@ _MAX_SEED = 2**64
 _MAX_INDEX = 2**56
 
 
-def _key(seed: int, stream: int, index: int) -> np.ndarray:
-    """Philox key of work item ``index`` of ``stream`` under ``seed``."""
-    return np.array([seed, _item_word(seed, stream, index)], dtype=np.uint64)
-
-
 def _item_word(seed: int, stream: int, index: int) -> int:
     """Second key word of the item, after range checks of all three."""
     if not 0 <= seed < _MAX_SEED:
@@ -51,24 +48,26 @@ def _item_word(seed: int, stream: int, index: int) -> int:
 
 def derived_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     """Generator for work item ``index`` of ``stream`` under ``seed``."""
-    return np.random.Generator(np.random.Philox(key=_key(seed, stream, index)))
+    key = np.array([seed, _item_word(seed, stream, index)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def item_rngs(seed: int, stream: int,
-              indices: Iterable[int]) -> Iterator[np.random.Generator]:
+              indices: range) -> Iterator[np.random.Generator]:
     """Generators of the work items ``indices`` of ``stream`` under ``seed``.
 
     Each yielded generator draws exactly what ``derived_rng(seed, stream,
     index)`` would. It is one generator object, re-keyed in place before
-    each yield, so draw from it before advancing the iterator. Seed and
-    stream are checked here, and so are the first and last index when
-    ``indices`` is a ``range``; other indices when their turn comes.
+    each yield, so draw from it before advancing the iterator. Seed, stream
+    and the range's first and last index are checked here, before any draw.
     """
-    _item_word(seed, stream, 0)
-    if isinstance(indices, range) and indices:
+    word = _item_word(seed, stream, 0)
+    if not isinstance(indices, range):
+        raise TypeError(f"indices must be a range, got {type(indices)}")
+    if indices:
         _item_word(seed, stream, indices[0])
         _item_word(seed, stream, indices[-1])
-    return _rekeyed(seed, stream, indices)
+    return _rekeyed(seed, word, indices)
 
 
 def fill_normals(out: np.ndarray,
@@ -83,9 +82,9 @@ def fill_normals(out: np.ndarray,
     return out
 
 
-def _rekeyed(seed: int, stream: int,
-             indices: Iterable[int]) -> Iterator[np.random.Generator]:
-    key = _key(seed, stream, 0)
+def _rekeyed(seed: int, word: int,
+             indices: range) -> Iterator[np.random.Generator]:
+    key = np.array([seed, word], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
     # the state of a fresh Philox: counter zero, output buffer empty
@@ -94,6 +93,6 @@ def _rekeyed(seed: int, stream: int,
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     for index in indices:
-        key[1] = _item_word(seed, stream, index)
+        key[1] = word + index
         bitgen.state = state
         yield gen

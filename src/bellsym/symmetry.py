@@ -45,8 +45,7 @@ import numpy as np
 
 from . import linalg
 from .kraus import KrausFactors, _mixer_stack
-from .rng import (FEASIBLE_SCAN, HAAR_SCAN, OPT_RESTART, derived_rng,
-                  fill_normals, item_rngs)
+from .rng import FEASIBLE_SCAN, HAAR_SCAN, OPT_RESTART, fill_normals, item_rngs
 
 __all__ = [
     "BellState",
@@ -559,9 +558,9 @@ def maximize_symmetric_probability(
     """Maximize the symmetric probability over pattern-respecting mixers.
 
     Runs Nelder-Mead (:func:`minimize`) from ``N_RESTARTS`` starting points
-    (one structured, the rest drawn from per-restart derived streams),
-    spending roughly ``budget`` objective evaluations in total. Returns the
-    best value found, the first restart's on a tie, and the mixer attaining
+    (one structured, the others drawn from items 1, 2, ... of the
+    ``OPT_RESTART`` stream), spending roughly ``budget`` objective
+    evaluations in total. Returns the best value found, the first restart's on a tie, and the mixer attaining
     it. The iterates are exactly feasible by construction, so the search can
     never report probability leaked in through constraint violation.
     """
@@ -580,9 +579,8 @@ def maximize_symmetric_probability(
 
     starts = np.zeros((N_RESTARTS, ndim))
     starts[0, 0] = 1.0
-    for restart in range(1, N_RESTARTS):
-        starts[restart] = derived_rng(seed, OPT_RESTART,
-                                      restart).standard_normal(ndim)
+    fill_normals(starts[1:],
+                 item_rngs(seed, OPT_RESTART, range(1, N_RESTARTS)))
     best_value = -np.inf
     best_params = None
     for sim, fsim, _ in minimize(negative_objective, starts,

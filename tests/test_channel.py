@@ -296,6 +296,17 @@ class TestMonteCarlo:
         est, err = monte_carlo_dephasing(BellState.B1.density(), params, cfg)
         assert np.all(np.isfinite(est)) and np.isfinite(err)
 
+    def test_phase_spread_cap(self):
+        # phases of spread sqrt(rate * time) = 1e300 stay finite and
+        # silent; a spread above 1e300 is refused before any draw
+        rho = BellState.B1.density()
+        cfg = NoiseTrajectoryConfig(n_trajectories=4, dt=1e289, seed=0)
+        est, err = monte_carlo_dephasing(rho, ChannelParams(1e308, 0.0, 1e292),
+                                         cfg)
+        assert np.all(np.isfinite(est)) and np.isfinite(err)
+        with pytest.raises(ValueError, match=r"rate \* time"):
+            monte_carlo_dephasing(rho, ChannelParams(0.0, 1e308, 1e293), cfg)
+
     def test_step_count_cap(self, monkeypatch):
         monkeypatch.setattr(channel, "MAX_STEPS", 10)
         rho = BellState.B1.density()

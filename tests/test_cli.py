@@ -383,6 +383,17 @@ class TestMonteCarloCommand:
         assert code == 0
         assert json.loads(out.read_text())["gamma_analytic"] == 0.0
 
+    def test_overflowing_phase_is_usage_error(self, tmp_path, capsys):
+        # rate * time = 1e616: phases of spread 1e308 would overflow
+        out = tmp_path / "mc.json"
+        code = main(["montecarlo", "--state", "B1", "--rate", "1e308",
+                     "--time", "1e308", "--dt", "1e308",
+                     "--n-trajectories", "4", "-o", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rate * time" in err
+        assert not out.exists()
+
     def test_infinite_dt_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "mc.json"
         code = main(["montecarlo", "--state", "B1", "--rate", "1", "--time",

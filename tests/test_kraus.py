@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from bellsym import kraus
+from bellsym import kraus, linalg
 from bellsym.channel import dephase_with_factors
 from bellsym.kraus import (
     CompletePositivityError,
@@ -252,15 +254,6 @@ class TestMixKraus:
             expected = dephase_with_factors(rho, 0.3, 0.3)
             assert np.max(np.abs(apply_kraus(mixed, rho) - expected)) <= 1e-11
 
-    def test_thousand_random_mixers(self, rng):
-        gamma = rng.uniform(0.0, 1.0)
-        kset = canonical_kraus(gamma)
-        reference = choi_of_kraus(kset)
-        for _ in range(1000):
-            mixed = mix_kraus(kset, haar_unitary(rng))
-            assert mixed.completeness_residual() <= 1e-10
-            assert np.max(np.abs(choi_of_kraus(mixed) - reference)) <= 1e-10
-
     def test_non_unitary_mixer_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             mix_kraus(canonical_kraus(0.5), 2.0 * np.eye(4))
@@ -299,14 +292,6 @@ class TestChannelsEqual:
 
 
 class TestSerialization:
-    def test_round_trip(self, rng):
-        kset = mix_kraus(canonical_kraus(0.4), haar_unitary(rng))
-        doc = kraus_set_to_dict(kset)
-        back = kraus_set_from_dict(doc)
-        assert back.label == kset.label and back.gamma == kset.gamma
-        for a, b in zip(back.operators, kset.operators):
-            assert np.array_equal(a, b)
-
     def test_document_validates_against_schema(self, rng):
         doc = kraus_set_to_dict(canonical_kraus(0.25))
         assert_valid_for_schema(doc, "kraus_set")
@@ -324,6 +309,73 @@ class TestSerialization:
         kset = canonical_kraus(0.5)
         renamed = dataclasses.replace(kset, label="renamed")
         assert renamed.completeness_residual() <= 1e-10
+
+
+def _haar(seed: int) -> np.ndarray:
+    return haar_unitary(np.random.default_rng(seed))
+
+
+def _kraus_set(kind: str, gamma: float, seed: int) -> KrausSet:
+    """A canonical set, a Choi-extracted set or a remixed canonical set."""
+    if kind == "canonical":
+        return canonical_kraus(gamma)
+    if kind == "choi":
+        return kraus_from_choi(choi_from_factors(gamma, gamma))
+    return mix_kraus(canonical_kraus(gamma), _haar(seed))
+
+
+kraus_sets = st.builds(_kraus_set, st.sampled_from(["canonical", "choi",
+                                                    "remixed"]),
+                       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kset=kraus_sets)
+def test_every_kraus_set_is_complete(kset):
+    assert kset.completeness_residual() <= 1e-10
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kset=kraus_sets, seed=st.integers(0, 2**32 - 1))
+def test_remixing_keeps_the_choi_matrix(kset, seed):
+    assume(len(kset) == 4)
+    mixed = mix_kraus(kset, _haar(seed))
+    assert mixed.completeness_residual() <= 1e-10
+    assert np.max(np.abs(choi_of_kraus(mixed) - choi_of_kraus(kset))) <= 1e-10
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kset=kraus_sets)
+def test_serialization_round_trips_bitwise(kset):
+    back = kraus_set_from_dict(json.loads(json.dumps(kraus_set_to_dict(kset))))
+    assert back.label == kset.label and back.gamma == kset.gamma
+    assert back.operators.shape == kset.operators.shape
+    assert back.operators.tobytes() == kset.operators.tobytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kset=kraus_sets, seed=st.integers(0, 2**32 - 1))
+def test_stack_expressions_match_per_operator_loops(kset, seed):
+    # the sums run in another order, so they agree to a few ulps
+    rho = random_density_matrix(np.random.default_rng(seed))
+    vecs = [k.T.reshape(16) for k in kset.operators]
+    choi = sum(np.outer(v, v.conj()) for v in vecs)
+    out = sum(k @ rho @ k.conj().T for k in kset.operators)
+    assert np.max(np.abs(choi_of_kraus(kset) - choi)) <= 1e-14
+    assert np.max(np.abs(apply_kraus(kset, rho) - out)) <= 1e-14
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_choi_extraction_matches_per_eigenvector_loop(seed):
+    # four Haar unitaries over 2 make a complete set that is not diagonal
+    rng = np.random.default_rng(seed)
+    choi = choi_of_kraus([haar_unitary(rng) / 2 for _ in range(4)])
+    vals, vecs = linalg.hermitian_eig(choi)
+    loop = [math.sqrt(lam) * v.reshape(4, 4).T
+            for lam, v in zip(vals, vecs.T) if lam > kraus.CHOI_EIG_CUTOFF]
+    assert kraus_from_choi(choi).operators.tobytes() == \
+        np.array(loop).tobytes()
 
 
 def test_completeness_residual_helper():

@@ -21,10 +21,10 @@ def assert_same_draws(a: np.random.Generator, b: np.random.Generator):
 
 
 @pytest.mark.parametrize("seed,stream,indices", [
-    (0, 0, [0, 1, 2]),
-    (7, 1, [MAX_INDEX, 0, MAX_INDEX - 1]),
-    (MAX_SEED, 3, [0, MAX_INDEX, 5]),
-    (MAX_SEED, 255, [MAX_INDEX]),
+    (0, 0, range(3)),
+    (7, 1, range(MAX_INDEX - 1, MAX_INDEX + 1)),
+    (MAX_SEED, 3, range(MAX_INDEX, -1, -MAX_INDEX)),
+    (MAX_SEED, 255, range(MAX_INDEX, MAX_INDEX + 1)),
 ])
 def test_item_rngs_match_derived_rng(seed, stream, indices):
     for index, rng in zip(indices, item_rngs(seed, stream, indices)):
@@ -33,7 +33,7 @@ def test_item_rngs_match_derived_rng(seed, stream, indices):
 
 def test_item_rngs_match_derived_rng_on_every_stream():
     for stream in range(256):
-        (rng,) = item_rngs(MAX_SEED, stream, [stream])
+        (rng,) = item_rngs(MAX_SEED, stream, range(stream, stream + 1))
         assert np.array_equal(rng.standard_normal(3),
                               derived_rng(MAX_SEED, stream, stream)
                               .standard_normal(3))
@@ -41,7 +41,12 @@ def test_item_rngs_match_derived_rng_on_every_stream():
 
 def test_item_rngs_yield_one_generator_per_index():
     assert len(list(item_rngs(1, 2, range(10)))) == 10
-    assert list(item_rngs(1, 2, [])) == []
+    assert list(item_rngs(1, 2, range(0))) == []
+
+
+def test_indices_must_be_a_range():
+    with pytest.raises(TypeError, match="range"):
+        item_rngs(1, 2, [0, 1])
 
 
 def test_fill_normals_takes_one_stream_per_row():
@@ -62,18 +67,17 @@ def test_bad_seed_or_stream_rejected_eagerly(seed, stream):
     with pytest.raises(ValueError) as derived:
         derived_rng(seed, stream, 0)
     with pytest.raises(ValueError) as rekeyed:
-        item_rngs(seed, stream, [])
+        item_rngs(seed, stream, range(0))
     assert str(rekeyed.value) == str(derived.value)
 
 
 @pytest.mark.parametrize("index", [-1, 2**56])
 def test_bad_index_rejected(index):
+    # the range [0, index] is refused before its valid item 0 is drawn
     with pytest.raises(ValueError, match="index") as derived:
         derived_rng(0, 0, index)
-    rngs = item_rngs(0, 0, [0, index])
-    next(rngs)
     with pytest.raises(ValueError) as rekeyed:
-        next(rngs)
+        item_rngs(0, 0, range(0, 2 * index, index))
     assert str(rekeyed.value) == str(derived.value)
 
 
