@@ -14,7 +14,8 @@ A single top-level ``--seed`` governs every stochastic subcommand and
 defaults to 0, never to entropy, so runs are reproducible by default.
 Numbers in CSV files carry 17 significant digits (round-trip exact for
 doubles). Exit codes: 0 success, 2 usage or parameter validation (a
-request too large for memory included), 3 input file problems, 4
+request too large for memory included), 3 an input file that is
+missing or malformed or an output file that cannot be written, 4
 numerical failure.
 """
 
@@ -36,7 +37,7 @@ __all__ = ["main", "build_parser"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_INPUT = 3
+EXIT_FILE = 3
 EXIT_NUMERICAL = 4
 
 OPTIMIZE_REPORT_SCHEMA = "bellsym/optimize-report/v1"
@@ -45,17 +46,21 @@ MONTECARLO_REPORT_SCHEMA = "bellsym/montecarlo-report/v1"
 _BELL_NAMES = ("B1", "B2", "B3", "B4")
 
 
-class InputFileError(Exception):
-    """An input file is missing or malformed."""
+class FileError(Exception):
+    """An input file is missing or malformed, or an output file cannot be
+    written."""
 
 
 @contextmanager
 def _open_out(path: str | None):
     if path is None:
         yield sys.stdout
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
+    except OSError as exc:
+        raise FileError(f"cannot write output file {path!r}: {exc}") from exc
 
 
 def _write_csv(path: str | None, header: tuple[str, ...], table) -> None:
@@ -65,10 +70,16 @@ def _write_csv(path: str | None, header: tuple[str, ...], table) -> None:
     if not np.all(np.isfinite(table)):
         raise NonFiniteOutputError("table not written: it holds a NaN or an "
                                    "infinity")
-    # format before opening the output, so a failure leaves no partial file
-    row = ",".join(["%.17g"] * len(header)) + "\n"
+    # format before opening the output, so a failure leaves no partial file.
+    # A column holding one bit pattern in every row is formatted once, as
+    # literal text of the row template; bits, not float ==, so that a column
+    # mixing 0.0 and -0.0 stays a varying one.
+    bits = table.view(np.uint64)
+    fixed = (bits == bits[0]).all(axis=0)
+    row = ",".join(["%.17g" % x if f else "%.17g"
+                    for x, f in zip(table[0].tolist(), fixed.tolist())]) + "\n"
     text = ",".join(header) + "\n" + "".join(
-        [row % tuple(v) for v in table.tolist()])
+        [row % tuple(v) for v in table[:, ~fixed].tolist()])
     with _open_out(path) as fh:
         fh.write(text)
 
@@ -184,15 +195,15 @@ def _load_bath_file(path: str) -> spinbath.BathSpec:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise InputFileError(f"cannot read bath file {path!r}: {exc}") from exc
+        raise FileError(f"cannot read bath file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputFileError(
+        raise FileError(
             f"bath file {path!r} is not valid JSON: {exc.msg} "
             f"(line {exc.lineno}, column {exc.colno})") from exc
     try:
         return spinbath.BathSpec.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputFileError(f"bath file {path!r} is malformed: {exc}") from exc
+        raise FileError(f"bath file {path!r} is malformed: {exc}") from exc
 
 
 def _cmd_spinbath(args) -> None:
@@ -354,9 +365,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except InputFileError as exc:
+    except FileError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_FILE
     except (CompletePositivityError, NonFiniteOutputError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -173,8 +173,12 @@ _CLASSES = (SymmetryClass.SYMMETRIC, SymmetryClass.ANTISYMMETRIC,
             SymmetryClass.MIXED, None)
 
 
-def _outcomes(bell, gamma, mixer):
-    """The four outcomes of each mixer in ``mixer``, (4, 4) or (N, 4, 4).
+def _outcomes(bell: BellState, diagonals: np.ndarray, mixers: np.ndarray):
+    """The four outcomes of each unitary of the stack ``mixers`` (N, 4, 4)
+    remixing the canonical set whose diagonals are ``diagonals`` (see
+    :meth:`KrausFactors.diagonals`). None is validated here: the public
+    callers validate what a user passes, and the scans and the optimizer
+    pass what the builders guarantee.
 
     Returns ``(amp, prob, asymmetry, code)``: the unnormalized outcome
     vectors (N, 4, 4), their probabilities, swap asymmetries and class codes
@@ -187,11 +191,8 @@ def _outcomes(bell, gamma, mixer):
     difference of the middle amplitudes, so neither loses precision near
     zero.
     """
-    bell = _coerce_bell(bell)
-    factors = KrausFactors.from_gamma(gamma)
-    mixers = _mixer_stack(mixer)
     # row mu of mixer @ diagonals is the diagonal of E_mu
-    amp = (mixers @ factors.diagonals()) * bell.vector
+    amp = (mixers @ diagonals) * bell.vector
     prob = (amp.conj()[..., None, :] @ amp[..., :, None])[..., 0, 0].real
     live = prob >= PROB_FLOOR
     q = np.abs(amp[..., 1] - amp[..., 2]) ** 2 / np.where(live, prob, 1.0)
@@ -201,6 +202,22 @@ def _outcomes(bell, gamma, mixer):
     code[~live] = _NEGLIGIBLE
     asym[~live] = np.nan
     return amp, prob, asym, code
+
+
+def _validated(bell, gamma, mixer):
+    """``_outcomes``' arguments from a user's state, gamma and mixer (or
+    stack of mixers), each checked."""
+    bell = _coerce_bell(bell)
+    diagonals = KrausFactors.from_gamma(gamma).diagonals()
+    return bell, diagonals, _mixer_stack(mixer)
+
+
+def _symmetric(bell: BellState, diagonals: np.ndarray,
+               mixers: np.ndarray) -> np.ndarray:
+    """Symmetric probability of each mixer of the stack; see _outcomes."""
+    _, prob, _, code = _outcomes(bell, diagonals, mixers)
+    # numpy adds fewer than eight terms in order, as a running sum would
+    return np.where(code == _SYMMETRIC, prob, 0.0).sum(axis=-1)
 
 
 def outcome_analysis(
@@ -219,7 +236,8 @@ def outcome_analysis(
     * mixed         -- anything else (the exchange symmetry is broken).
     """
     mixer = linalg.as_square_matrix(mixer, "mixer")
-    (amp,), (prob,), (asym,), (code,) = _outcomes(bell, gamma, mixer)
+    (amp,), (prob,), (asym,), (code,) = _outcomes(
+        *_validated(bell, gamma, mixer))
     reports = []
     for mu in range(4):
         negligible = code[mu] == _NEGLIGIBLE
@@ -243,9 +261,7 @@ def symmetric_probability(
     them, giving an array of N probabilities.
     """
     mixer = np.asarray(mixer, dtype=np.complex128)
-    _, prob, _, code = _outcomes(bell, gamma, mixer)
-    # numpy adds fewer than eight terms in order, as a running sum would
-    p = np.where(code == _SYMMETRIC, prob, 0.0).sum(axis=-1)
+    p = _symmetric(*_validated(bell, gamma, mixer))
     return float(p[0]) if mixer.ndim == 2 else p
 
 
@@ -569,13 +585,11 @@ def maximize_symmetric_probability(
     bell = _coerce_bell(bell)
     if not isinstance(pattern, ConstraintPattern):
         pattern = ConstraintPattern.from_rows(pattern)
-    KrausFactors.from_gamma(gamma)      # validate early
-
+    diagonals = KrausFactors.from_gamma(gamma).diagonals()
     ndim = feasible_params_dim(pattern)
 
     def negative_objective(x):
-        return -symmetric_probability(bell, gamma,
-                                      _feasible_from_params(pattern, x))
+        return -_symmetric(bell, diagonals, _feasible_from_params(pattern, x))
 
     starts = np.zeros((N_RESTARTS, ndim))
     starts[0, 0] = 1.0
@@ -641,7 +655,7 @@ def _scan(bell, gamma, n_samples, seed, stream, shape, build) -> ScanResult:
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     bell = _coerce_bell(bell)
-    KrausFactors.from_gamma(gamma)
+    diagonals = KrausFactors.from_gamma(gamma).diagonals()
     n_bins = int(round(1.0 / BIN_WIDTH)) + 1
     counts = np.zeros(n_bins, dtype=np.int64)
     p_max = -np.inf
@@ -651,7 +665,7 @@ def _scan(bell, gamma, n_samples, seed, stream, shape, build) -> ScanResult:
     for start in range(0, n_samples, SCAN_CHUNK):
         z = fill_normals(
             np.empty((min(SCAN_CHUNK, n_samples - start),) + shape), rngs)
-        p = symmetric_probability(bell, gamma, build(z))
+        p = _symmetric(bell, diagonals, build(z))
         p_max = max(p_max, p.max())
         p_min = min(p_min, p.min())
         total = np.concatenate(([total], p)).cumsum()[-1]

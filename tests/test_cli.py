@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import bellsym
@@ -318,6 +318,28 @@ def test_non_finite_t_max_is_usage_error(tmp_path, capsys, command, t_max):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["evolve", "--state", "B1", "--rate", "1", "--t-max", "1"],
+    ["kraus", "--gamma", "0.5"],
+])
+@pytest.mark.parametrize("target", ["directory", "missing directory"])
+def test_unwritable_output_is_file_error(tmp_path, capsys, command, target):
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "x"
+    assert main(command + ["-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output file")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses every write")
+def test_failed_write_is_file_error(capsys):
+    code = main(["kraus", "--gamma", "0.5", "-o", "/dev/full"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: cannot write output file")
+
+
 class TestMonteCarloCommand:
     def test_report_contents(self, tmp_path):
         out = tmp_path / "mc.json"
@@ -620,11 +642,33 @@ def _csv_text(header, table) -> str:
     return buf.getvalue()
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(table=st.sampled_from((4, 34, 36)).flatmap(
-    lambda width: hnp.arrays(np.float64, st.tuples(st.integers(1, 6),
-                                                   st.just(width)),
-                             elements=CSV_CELLS)))
+def _csv_column(rows: int):
+    """One column: arbitrary cells, one value in every row, or signed zeros."""
+    return st.one_of(
+        hnp.arrays(np.float64, rows, elements=CSV_CELLS),
+        CSV_CELLS.map(lambda x: np.full(rows, x)),
+        hnp.arrays(np.float64, rows, elements=st.sampled_from((0.0, -0.0))))
+
+
+def _csv_table(shape):
+    rows, width = shape
+    return st.one_of(
+        hnp.arrays(np.float64, shape, elements=CSV_CELLS),
+        CSV_CELLS.map(lambda x: np.full(shape, x)),
+        st.lists(_csv_column(rows), min_size=width,
+                 max_size=width).map(np.column_stack))
+
+
+_ZERO_SIGNS = np.array([[0.0, -0.0, 5e-324, 1.0], [-0.0, -0.0, 5e-324, 1.0],
+                        [0.0, -0.0, 5e-324, 2.0]])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(table=st.tuples(st.integers(1, 6),
+                       st.sampled_from((4, 34, 36))).flatmap(_csv_table))
+@example(table=_ZERO_SIGNS)
+@example(table=_ZERO_SIGNS[:1])
+@example(table=np.full((5, 34), -0.0))
 def test_csv_matches_per_cell_reference(table):
     header = tuple(f"c{k}" for k in range(table.shape[1]))
     lines = _csv_text(header, table).split("\n")

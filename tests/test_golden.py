@@ -54,6 +54,13 @@ CASES = {
     "kraus-choi": ["kraus", "--gamma", "0.5", "--method", "choi"],
     "evolve-B3": ["evolve", "--state", "B3", "--rate", "1.0", "--t-max", "5",
                   "--n-points", "21"],
+    "evolve-B1-rate0": ["evolve", "--state", "B1", "--rate", "0", "--t-max",
+                        "5", "--n-points", "21"],
+    "evolve-B2-1pt": ["evolve", "--state", "B2", "--rate", "1.0", "--t-max",
+                      "5", "--n-points", "1"],
+    "spinbath-random-state-B4": ["--seed", "7", "spinbath", "--n-spins", "10",
+                                 "--amplitudes", "random", "--t-max", "20",
+                                 "--n-points", "21", "--state", "B4"],
     "spinbath": ["--seed", "7", "spinbath", "--n-spins", "10", "--t-max", "20",
                  "--n-points", "21"],
     "spinbath-state-B3": ["--seed", "7", "spinbath", "--n-spins", "10",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellsym import symmetry
+from bellsym import linalg, symmetry
 from bellsym.channel import dephase_with_factors
 from bellsym.kraus import KrausFactors
 from bellsym.symmetry import (
@@ -308,6 +308,15 @@ class TestSymmetricProbability:
         assert asymptotic_symmetric_probability(pattern, mixer) == \
             pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("fn", [symmetric_probability, outcome_analysis])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_public_entries_validate_what_the_core_does_not(self, fn, bad):
+        mixer = np.eye(4, dtype=complex)
+        mixer[0, 0] = bad
+        with pytest.raises(ValueError, match="mixer"):
+            fn(BellState.B3, 0.0, mixer)
+        with pytest.raises(ValueError, match="gamma"):
+            fn(BellState.B3, 1.5, np.eye(4))
 
     def test_rejects_stack_of_wrong_shape(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -514,6 +523,35 @@ class TestUnitaryConstructions:
             got = sample_feasible_unitary(pattern,
                                           derived_rng(17, FEASIBLE_SCAN, i))
             assert got.tobytes() == expected.tobytes()
+
+
+# The scans and the optimizer hand their mixers to the core unchecked, so the
+# builders must guarantee unitarity themselves: for every pattern, on
+# ordinary draws and on column-2 parts small enough to take the fallback.
+_FALLBACK_SCALES = (0.0, 1e-14)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(rows=st.sets(st.integers(1, 4), max_size=3),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from(_FALLBACK_SCALES + (1e-11, 1.0, 1e6)))
+def test_built_mixers_are_unitary(rows, seed, scale):
+    pattern = ConstraintPattern.from_rows(rows)
+    m = len(pattern.free_rows)
+    gen = np.random.default_rng(seed)
+    z = gen.standard_normal((16, 2 * m + 24))
+    x = gen.standard_normal((16, feasible_params_dim(pattern)))
+    z[:8, :2 * m] *= scale          # the first half of each stack
+    x[:8, :2 * m] *= scale
+    stacks = (symmetry._haar_from_normals(gen.standard_normal((16, 2, 4, 4))),
+              symmetry._feasible_from_normals(pattern, z),
+              symmetry._feasible_from_params(pattern, x))
+    for stack in stacks:
+        assert linalg.is_unitary(stack)
+    if scale in _FALLBACK_SCALES:
+        free = [r - 1 for r in pattern.free_rows]
+        assert np.array_equal(stacks[1][:8][:, free, 1],
+                              np.full((8, m), 1.0 / math.sqrt(m)))
 
 
 def former_feasible_unitary(pattern, x):
