@@ -12,9 +12,10 @@ factor of gamma_A if the two basis states differ on qubit A, and one factor
 of gamma_B if they differ on qubit B; diagonal entries are untouched.
 
 A Monte-Carlo realization of the same process is provided as an independent
-cross-check: each trajectory accumulates random phases built as sums of
-Gaussian Wiener increments, and the trajectory average converges to the
-analytic map.
+cross-check: under white noise the phase each qubit accumulates by time t is
+exactly Gaussian with variance Gamma_i * t, so each trajectory draws one
+such phase per qubit, and the trajectory average converges to the analytic
+map.
 """
 
 from __future__ import annotations
@@ -73,10 +74,11 @@ class ChannelParams:
 class NoiseTrajectoryConfig:
     """Controls for the stochastic-trajectory average.
 
-    ``dt`` only sets how many Wiener increments build each accumulated phase;
-    the phase distribution is exact for any step count. ``mu`` is the
-    gyromagnetic ratio multiplying the noise fields; the field correlator
-    scales as 1/mu^2 so physical results are independent of it.
+    ``dt`` is the time step of the noise. It is validated and echoed in
+    reports but does not change the estimate: white noise makes each
+    accumulated phase exactly Gaussian, so it is drawn in one step. ``mu``
+    is the gyromagnetic ratio multiplying the noise fields; the field
+    correlator scales as 1/mu^2 so physical results are independent of it.
     """
 
     n_trajectories: int
@@ -140,39 +142,17 @@ def apply_dephasing(rho0, params: ChannelParams) -> np.ndarray:
     return dephase_with_factors(rho0, params.gamma_a, params.gamma_b)
 
 
-# Most Wiener increments one trajectory may take per qubit: its (2,
-# MAX_STEPS) increments fill 64 MiB. Drawing more in pieces would round the
-# step sum differently, so longer trajectories are refused.
-MAX_STEPS = 2**22
-# Doubles a chunk of Monte-Carlo trajectories may hold (8 B each, 512 KiB):
-# each trajectory of a chunk takes 2 * n_steps normals and a 4x4 complex
-# sample (32 doubles). Memory beyond the chunk is the (n_trajectories, 2)
-# phases, 16 B per trajectory; the results do not depend on the chunk size.
+# Doubles a chunk of Monte-Carlo trajectories may hold (8 B each, 512 KiB).
+# Each trajectory of a chunk takes its 2 phase normals and four 4x4 complex
+# temporaries (32 doubles each) in _samples and _running_sum. Memory beyond
+# the chunk is the (n_trajectories, 2) phases, 16 B per trajectory; the
+# results do not depend on the chunk size.
 MC_CHUNK_DOUBLES = 2**16
+_TRAJECTORY_DOUBLES = 2 + 4 * 32
 # Largest spread sqrt(rate * time) of a phase. No normal numpy draws exceeds
-# 14 in magnitude, so phases stay below 14 * sqrt(MAX_STEPS) times this,
-# ~3e304, and the sum of two stays finite.
+# 14 in magnitude, so phases stay below 14 * MAX_PHASE_SD, and the sum of
+# two stays finite.
 MAX_PHASE_SD = 1e300
-
-
-def _phase_step(params: ChannelParams, cfg: NoiseTrajectoryConfig,
-                n_steps: int) -> np.ndarray:
-    """Scale of one Wiener step of the phases of qubits A and B, shape (2,).
-
-    Field-integral increments have variance (Gamma / mu^2) * dt; the phase
-    is mu times their sum, hence exactly Gaussian with variance Gamma * t.
-    mu only sets the sign of a step, so mu^2 is never formed: it would
-    overflow or underflow for |mu| beyond about 1e154 or below 1e-154.
-    """
-    rates = np.array([params.gamma_rate_a, params.gamma_rate_b])
-    dt_eff = params.time / n_steps
-    with np.errstate(over="ignore"):
-        var = rates * dt_eff
-    # The product of the roots cannot overflow, but it rounds differently
-    # from the root of the product, so it stands in only where that is inf.
-    root = np.where(np.isinf(var), np.sqrt(rates) * np.sqrt(dt_eff),
-                    np.sqrt(var))
-    return np.copysign(root, cfg.mu)
 
 
 def _samples(phases: np.ndarray, rho0: np.ndarray) -> np.ndarray:
@@ -209,42 +189,38 @@ def monte_carlo_dephasing(
     over real and imaginary components separately (a single conservative
     figure).
 
-    Trajectory ``i`` draws its increments from a counter-based stream
-    derived from the seed and the trajectory index. Trajectories run in
-    chunks (``MC_CHUNK_DOUBLES``), the sums run in trajectory order, and
-    only the phases are kept between the two passes the standard error
+    Trajectory ``i`` draws two standard normals from a counter-based stream
+    derived from the seed and the trajectory index, and scales them by
+    sign(mu) * sqrt(Gamma_i * t): white noise makes each accumulated phase
+    exactly Gaussian, so no time steps are taken and ``cfg.dt`` does not
+    enter. mu only sets the sign, so mu^2 is never formed: it would overflow
+    or underflow for |mu| beyond about 1e154 or below 1e-154. Trajectories
+    run in chunks (``MC_CHUNK_DOUBLES``), the sums run in trajectory order,
+    and only the phases are kept between the two passes the standard error
     needs, so memory is bounded for any trajectory count and the result is
-    bitwise that of one pass over all trajectories at once. More than
-    ``MAX_STEPS`` steps or a phase spread above ``MAX_PHASE_SD`` raise
-    ``ValueError``.
+    bitwise that of one pass over all trajectories at once. A phase spread
+    above ``MAX_PHASE_SD`` raises ``ValueError``.
     """
     rho0 = validate_density_matrix(rho0)
     if params.time == 0.0:
         return rho0.copy(), 0.0
 
-    rate = max(params.gamma_rate_a, params.gamma_rate_b)
-    spread = np.sqrt(rate) * np.sqrt(params.time)
-    if spread > MAX_PHASE_SD:
-        raise ValueError(f"sqrt(rate * time) = {spread:g} exceeds the cap of "
-                         f"{MAX_PHASE_SD:g}: the phases would overflow")
-    steps = params.time / cfg.dt
-    if not np.isfinite(steps):
-        raise ValueError(f"time/dt = {steps} is not a finite step count")
-    n_steps = max(1, int(round(steps)))
-    if n_steps > MAX_STEPS:
-        raise ValueError(f"time/dt = {steps:g} steps per trajectory exceeds "
-                         f"the cap of {MAX_STEPS}")
+    # the root of each factor, not of the product: rate * time may overflow
+    rates = np.array([params.gamma_rate_a, params.gamma_rate_b])
+    sd = np.sqrt(rates) * np.sqrt(params.time)
+    if sd.max() > MAX_PHASE_SD:
+        raise ValueError(f"sqrt(rate * time) = {sd.max():g} exceeds the cap "
+                         f"of {MAX_PHASE_SD:g}: the phases would overflow")
+    sd = np.copysign(sd, cfg.mu)
 
     n = cfg.n_trajectories
-    step = _phase_step(params, cfg, n_steps)
-    rows = max(1, MC_CHUNK_DOUBLES // (2 * n_steps + 32))
+    rows = MC_CHUNK_DOUBLES // _TRAJECTORY_DOUBLES
     phases = np.empty((n, 2))
-    z = np.empty((min(rows, n), 2, n_steps))
     rngs = item_rngs(cfg.seed, TRAJECTORY, range(n))
     total = None
     for start in range(0, n, rows):
-        chunk = phases[start:start + rows]
-        chunk[:] = step * fill_normals(z[:len(chunk)], rngs).sum(axis=-1)
+        chunk = fill_normals(phases[start:start + rows], rngs)
+        chunk *= sd
         total = _running_sum(total, _samples(chunk, rho0))
     rho_est = total / n
     if n == 1:

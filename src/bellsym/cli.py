@@ -15,8 +15,8 @@ defaults to 0, never to entropy, so runs are reproducible by default.
 Numbers in CSV files carry 17 significant digits (round-trip exact for
 doubles). Exit codes: 0 success, 2 usage or parameter validation (a
 request too large for memory included), 3 an input file that is
-missing or malformed or an output file that cannot be written, 4
-numerical failure.
+missing or malformed or an output file or standard output that cannot be
+written, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -54,7 +54,15 @@ class FileError(Exception):
 @contextmanager
 def _open_out(path: str | None):
     if path is None:
-        yield sys.stdout
+        # flushed here, so that a failed write cannot surface later, in the
+        # interpreter's flush at exit; a closed stdout is None
+        try:
+            if sys.stdout is None:
+                raise OSError("standard output is closed")
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as exc:
+            raise FileError(f"cannot write standard output: {exc}") from exc
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -346,7 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--time", type=float, required=True)
     p.add_argument("--n-trajectories", type=int, default=100000)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--dt", type=float, default=0.01,
+                   help="time step of the noise; validated and echoed in "
+                        "the report, but the phases are drawn exactly, so "
+                        "it does not change the estimate")
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_montecarlo)

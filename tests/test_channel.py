@@ -246,13 +246,6 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="dt must be finite"):
             NoiseTrajectoryConfig(n_trajectories=2, dt=dt, seed=0)
 
-    def test_infinite_step_count_rejected(self):
-        # time/dt overflows to infinity, which has no integer step count
-        params = ChannelParams.identical_rates(1.0, 1.0)
-        cfg = NoiseTrajectoryConfig(n_trajectories=2, dt=5e-324, seed=0)
-        with pytest.raises(ValueError, match="finite step count"):
-            monte_carlo_dephasing(BellState.B1.density(), params, cfg)
-
     def test_seed_determinism(self, rng):
         rho = random_density_matrix(rng)
         params = ChannelParams.identical_rates(1.0, 0.7)
@@ -289,10 +282,10 @@ class TestMonteCarlo:
         expected, expected_err = monte_carlo_dephasing(rho, params, unit)
         assert est.tobytes() == expected.tobytes() and err == expected_err
 
-    def test_large_rate_times_dt_is_silent(self):
-        # rate * dt overflows; its root does not, and gamma is exactly 0
+    def test_overflowing_rate_times_time_is_silent(self):
+        # rate * time overflows; its root does not, and gamma is exactly 0
         params = ChannelParams.identical_rates(1e308, 1e10)
-        cfg = NoiseTrajectoryConfig(n_trajectories=4, dt=1e9, seed=0)
+        cfg = NoiseTrajectoryConfig(n_trajectories=4, dt=0.01, seed=0)
         est, err = monte_carlo_dephasing(BellState.B1.density(), params, cfg)
         assert np.all(np.isfinite(est)) and np.isfinite(err)
 
@@ -307,29 +300,10 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=r"rate \* time"):
             monte_carlo_dephasing(rho, ChannelParams(0.0, 1e308, 1e293), cfg)
 
-    def test_step_count_cap(self, monkeypatch):
-        monkeypatch.setattr(channel, "MAX_STEPS", 10)
-        rho = BellState.B1.density()
-        params = ChannelParams.identical_rates(1.0, 1.0)
-        monte_carlo_dephasing(rho, params, NoiseTrajectoryConfig(2, 0.1, 0))
-        with pytest.raises(ValueError, match="cap of 10"):
-            monte_carlo_dephasing(rho, params,
-                                  NoiseTrajectoryConfig(2, 1 / 11, 0))
-
-    @pytest.mark.parametrize("time,dt", [(1.0, 1e-16), (1e300, 0.5)])
-    def test_huge_finite_step_count_rejected(self, time, dt):
-        params = ChannelParams.identical_rates(1.0, time)
-        cfg = NoiseTrajectoryConfig(n_trajectories=2, dt=dt, seed=0)
-        with pytest.raises(ValueError, match="exceeds the cap"):
-            monte_carlo_dephasing(BellState.B1.density(), params, cfg)
-
-    @pytest.mark.parametrize("dt", [0.01, 1.0])
-    def test_memory_is_16_bytes_per_trajectory(self, dt):
-        # one step (dt 1.0) gives the largest chunks, many steps the
-        # largest rows of normals
+    def test_memory_is_16_bytes_per_trajectory(self):
         n = 200_000
         params = ChannelParams.identical_rates(1.0, 1.0)
-        cfg = NoiseTrajectoryConfig(n_trajectories=n, dt=dt, seed=0)
+        cfg = NoiseTrajectoryConfig(n_trajectories=n, dt=0.01, seed=0)
         rho = BellState.B1.density()
         tracemalloc.start()
         try:
@@ -342,14 +316,12 @@ class TestMonteCarlo:
 
 def loop_reference(rho0, params, cfg):
     """Monte Carlo one trajectory at a time, then numpy's mean and std."""
-    n_steps = max(1, int(round(params.time / cfg.dt)))
     rates = np.array([params.gamma_rate_a, params.gamma_rate_b])
-    step = np.copysign(np.sqrt(rates * (params.time / n_steps)), cfg.mu)
+    sd = np.copysign(np.sqrt(rates) * np.sqrt(params.time), cfg.mu)
     phases = np.empty((cfg.n_trajectories, 2))
     for i in range(cfg.n_trajectories):
-        increments = derived_rng(cfg.seed, TRAJECTORY, i).standard_normal(
-            (2, n_steps))
-        phases[i] = step * increments.sum(axis=1)
+        phases[i] = sd * derived_rng(cfg.seed, TRAJECTORY,
+                                     i).standard_normal(2)
     sign_a = np.array([1.0, 1.0, -1.0, -1.0])
     sign_b = np.array([1.0, -1.0, 1.0, -1.0])
     angle = 0.5 * (np.outer(phases[:, 0], sign_a)
@@ -365,22 +337,19 @@ def loop_reference(rho0, params, cfg):
 
 
 class TestMonteCarloChunks:
-    N_STEPS = 20    # dt 0.05 at time 1
-
     @pytest.mark.parametrize("rows", [1, 7, None])
     @pytest.mark.parametrize("state", list(BellState))
     def test_chunked_equals_loop_reference(self, monkeypatch, rows, state):
         if rows is not None:
             monkeypatch.setattr(channel, "MC_CHUNK_DOUBLES",
-                                rows * (2 * self.N_STEPS + 32))
+                                rows * channel._TRAJECTORY_DOUBLES)
         else:
-            rows = channel.MC_CHUNK_DOUBLES // (2 * self.N_STEPS + 32)
+            rows = channel.MC_CHUNK_DOUBLES // channel._TRAJECTORY_DOUBLES
         rho = state.density()
         params = ChannelParams(0.7, 2.3, 1.0)
         for n in sorted({1, 2, max(1, rows - 1), rows + 1}):
             for mu in (1.0, -2.5):
-                cfg = NoiseTrajectoryConfig(n, 1.0 / self.N_STEPS,
-                                            seed=n, mu=mu)
+                cfg = NoiseTrajectoryConfig(n, 0.05, seed=n, mu=mu)
                 est, err = monte_carlo_dephasing(rho, params, cfg)
                 ref, ref_err = loop_reference(rho, params, cfg)
                 assert est.tobytes() == ref.tobytes()
@@ -388,7 +357,8 @@ class TestMonteCarloChunks:
                     np.float64(ref_err).tobytes()
 
     def test_random_state_equals_loop_reference(self, monkeypatch, rng):
-        monkeypatch.setattr(channel, "MC_CHUNK_DOUBLES", 3 * (2 * 5 + 32))
+        monkeypatch.setattr(channel, "MC_CHUNK_DOUBLES",
+                            3 * channel._TRAJECTORY_DOUBLES)
         rho = random_density_matrix(rng)
         params = ChannelParams(0.0, 1.9, 2.0)
         cfg = NoiseTrajectoryConfig(50, 0.4, seed=3)

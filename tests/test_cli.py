@@ -376,28 +376,22 @@ class TestMonteCarloCommand:
         assert not out.exists()
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_infinite_step_count_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "mc.json"
-        code = main(["montecarlo", "--state", "B1", "--rate", "1", "--time",
-                     "1", "--dt", "5e-324", "--n-trajectories", "2",
-                     "-o", str(out)])
-        assert code == 2
-        assert "finite step count" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("time,dt", [("1", "1e-16"), ("1e300", "0.5")])
-    def test_step_count_above_cap_is_usage_error(self, tmp_path, capsys,
-                                                 time, dt):
-        out = tmp_path / "mc.json"
-        code = main(["montecarlo", "--state", "B1", "--rate", "1", "--time",
-                     time, "--dt", dt, "--n-trajectories", "2",
-                     "-o", str(out)])
-        assert code == 2
-        assert "exceeds the cap" in capsys.readouterr().err
-        assert not out.exists()
+    def test_report_does_not_depend_on_dt(self, tmp_path):
+        # the phases are drawn exactly; dt is validated and echoed only
+        args = ["--seed", "3", "montecarlo", "--state", "B3", "--rate", "2",
+                "--time", "0.5", "--n-trajectories", "300"]
+        texts = []
+        for dt in ("0.01", "0.37", "5e-324"):
+            out = tmp_path / f"mc-{dt}.json"
+            assert main(args + ["--dt", dt, "-o", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            assert doc["dt"] == float(dt)
+            texts.append(out.read_text().replace(f'"dt": {doc["dt"]!r}', ""))
+        assert texts[0] == texts[1] == texts[2]
 
     def test_overflowing_rate_times_dt(self, tmp_path):
-        # rate * dt is above the largest double, gamma is exactly 0
+        # rate * dt and rate * time are above the largest double, gamma is
+        # exactly 0
         out = tmp_path / "mc.json"
         code = main(["montecarlo", "--state", "B1", "--rate", "1e308",
                      "--time", "1e10", "--dt", "1e9", "--n-trajectories", "4",
@@ -461,6 +455,63 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(out.read_text())
     assert doc["schema"] == "bellsym/kraus-set/v1"
+
+
+def run_cli(args, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m bellsym`` with ``args`` in a child process."""
+    return subprocess.run([sys.executable, "-m", "bellsym", *args],
+                          stderr=subprocess.PIPE, text=True, env=child_env(),
+                          **kwargs)
+
+
+def assert_documented_failure(code: int, err: str) -> None:
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX file descriptors")
+class TestOutputAtTheProcessBoundary:
+    """Failed writes seen by a whole process, past ``main``'s return: the
+    interpreter's own flush at exit must not raise either."""
+
+    EVOLVE = ["evolve", "--state", "B3", "--rate", "1", "--t-max", "5"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that refuses every write")
+    def test_stdout_on_a_full_device(self):
+        with open("/dev/full", "w") as full:
+            proc = run_cli(self.EVOLVE + ["--n-points", "3"], stdout=full)
+        assert_documented_failure(proc.returncode, proc.stderr)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: cannot write standard output")
+
+    def test_closed_stdout(self):
+        proc = run_cli(["kraus", "--gamma", "0.5"],
+                       preexec_fn=lambda: os.close(1))
+        assert_documented_failure(proc.returncode, proc.stderr)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: cannot write standard output")
+
+    def test_pipe_closed_after_ten_bytes(self):
+        # a 100k-row table: far more than a pipe buffer holds
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bellsym", *self.EVOLVE,
+             "--n-points", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert_documented_failure(proc.wait(), err)
+        assert head == b"t,gamma,rh"
+
+    def test_output_path_is_a_directory(self, tmp_path):
+        proc = run_cli(["kraus", "--gamma", "0.5", "-o", str(tmp_path)],
+                       stdout=subprocess.PIPE)
+        assert_documented_failure(proc.returncode, proc.stderr)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: cannot write output file")
+        assert proc.stdout == ""
 
 
 def test_cold_start_imports_no_scipy():

@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from bellsym import linalg, symmetry
 from bellsym.channel import dephase_with_factors
-from bellsym.kraus import KrausFactors
+from bellsym.kraus import (
+    KrausFactors,
+    canonical_kraus,
+    choi_from_factors,
+    kraus_from_choi,
+    mix_kraus,
+)
 from bellsym.symmetry import (
     BellState,
     ConstraintPattern,
@@ -838,3 +844,82 @@ def test_optimizer_agrees_with_sampling_oracle():
     oracle_max = _batched_feasible_max((1,), 1_000_000, seed=424242)
     assert oracle_max <= 0.5 + 1e-9
     assert abs(p_opt - oracle_max) <= 1e-3
+
+
+def symmetric_ceiling(kset, bell: BellState) -> float:
+    """Largest symmetric probability over every unitary remixing of ``kset``.
+
+    With w_j = K_j psi, the outcome sum_j u_j w_j is exchange-symmetric
+    exactly when u is orthogonal to n_j = conj(w_j[1] - w_j[2]), and its
+    probability is the form of u on the Gram matrix G_jl = <w_j|w_l>. Rows
+    of a unitary are orthonormal, so by Ky Fan's maximum principle the
+    ceiling is the sum of the positive eigenvalues of G compressed to the
+    complement of n. An n below 1e-12 is rounding and leaves G whole. This
+    route shares no code with the builders, the core or the optimizer.
+    """
+    w = kset.operators @ bell.vector
+    gram = w.conj() @ w.T
+    n = (w[:, 1] - w[:, 2]).conj()
+    proj = np.eye(len(w), dtype=complex)
+    if np.linalg.norm(n) > 1e-12:
+        proj -= np.outer(n, n.conj()) / np.vdot(n, n).real
+    eig = np.linalg.eigvalsh(proj @ gram @ proj)
+    return float(eig[eig > 0].sum())
+
+
+CEILING_GAMMAS = (0.0, 0.3, 0.7, 1.0)
+# patterns of one to three rows
+PATTERNS = [rows for k in (1, 2, 3)
+            for rows in itertools.combinations((1, 2, 3, 4), k)]
+
+
+class TestCeiling:
+    @pytest.mark.parametrize("gamma", CEILING_GAMMAS + (0.123456789,))
+    def test_closed_forms(self, gamma):
+        kset = canonical_kraus(gamma)
+        expected = {BellState.B1: 1.0, BellState.B2: 1.0,
+                    BellState.B3: (1 + gamma**2) / 2,
+                    BellState.B4: (1 - gamma**2) / 2}
+        for bell, value in expected.items():
+            assert abs(symmetric_ceiling(kset, bell) - value) <= 1e-12
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(bell=st.sampled_from(BellState),
+           gamma=st.one_of(st.sampled_from(CEILING_GAMMAS),
+                           st.floats(0.0, 1.0)),
+           index=st.integers(0, 2**20))
+    def test_same_for_every_set_of_the_channel(self, bell, gamma, index):
+        canonical = canonical_kraus(gamma)
+        remixed = mix_kraus(canonical,
+                            haar_unitary(derived_rng(3, HAAR_SCAN, index)))
+        extracted = kraus_from_choi(choi_from_factors(gamma, gamma))
+        ceiling = symmetric_ceiling(canonical, bell)
+        for kset in (remixed, extracted):
+            assert abs(symmetric_ceiling(kset, bell) - ceiling) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", CEILING_GAMMAS)
+    @pytest.mark.parametrize("bell", list(BellState))
+    def test_haar_scan_stays_below(self, bell, gamma):
+        scan = brute_force_symmetry_scan(bell, gamma, 500, seed=21)
+        ceiling = symmetric_ceiling(canonical_kraus(gamma), bell)
+        assert scan.p_max <= ceiling + 1e-12
+
+    @pytest.mark.parametrize("gamma", CEILING_GAMMAS)
+    @pytest.mark.parametrize("rows", PATTERNS)
+    def test_feasible_scan_stays_below(self, rows, gamma):
+        scan = feasible_symmetry_scan(
+            BellState.B3, gamma, ConstraintPattern.from_rows(rows), 300,
+            seed=22)
+        ceiling = symmetric_ceiling(canonical_kraus(gamma), BellState.B3)
+        assert scan.p_max <= ceiling + 1e-12
+
+    # B3 only: its symmetric rows are exactly the u_{mu 2} = 0 rows that a
+    # pattern pins, which B4's are not
+    @pytest.mark.parametrize("gamma", (0.0, 0.3, 0.7))
+    @pytest.mark.parametrize("rows", [(1,), (1, 2), (1, 2, 3)])
+    def test_optimizer_reaches_it(self, rows, gamma):
+        p_opt, _ = maximize_symmetric_probability(
+            BellState.B3, gamma, rows, budget=2400, seed=0)
+        ceiling = symmetric_ceiling(canonical_kraus(gamma), BellState.B3)
+        assert p_opt <= ceiling + 1e-12
+        assert abs(p_opt - ceiling) <= 1e-6
