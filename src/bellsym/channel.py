@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import validate_density_matrix
-from .rng import TRAJECTORY, fill_normals, item_rngs
+from .rng import SHORT_ROW_WORDS, TRAJECTORY, fill_short_normals
 
 __all__ = [
     "ChannelParams",
@@ -143,10 +143,13 @@ def apply_dephasing(rho0, params: ChannelParams) -> np.ndarray:
 
 
 # Doubles a chunk of Monte-Carlo trajectories may hold (8 B each, 512 KiB).
-# Each trajectory of a chunk takes its 2 phase normals and four 4x4 complex
+# The phases are drawn first, in blocks of MC_CHUNK_DOUBLES //
+# rng.SHORT_ROW_WORDS (4096) trajectories, the most temporaries
+# fill_short_normals takes per row. The two reductions then run in chunks
+# in which each trajectory takes its 2 phase normals and four 4x4 complex
 # temporaries (32 doubles each) in _samples and _running_sum. Memory beyond
-# the chunk is the (n_trajectories, 2) phases, 16 B per trajectory; the
-# results do not depend on the chunk size.
+# a block or chunk is the (n_trajectories, 2) phases, 16 B per trajectory;
+# the results do not depend on the block or chunk size.
 MC_CHUNK_DOUBLES = 2**16
 _TRAJECTORY_DOUBLES = 2 + 4 * 32
 # Largest spread sqrt(rate * time) of a phase. No normal numpy draws exceeds
@@ -194,11 +197,13 @@ def monte_carlo_dephasing(
     sign(mu) * sqrt(Gamma_i * t): white noise makes each accumulated phase
     exactly Gaussian, so no time steps are taken and ``cfg.dt`` does not
     enter. mu only sets the sign, so mu^2 is never formed: it would overflow
-    or underflow for |mu| beyond about 1e154 or below 1e-154. Trajectories
-    run in chunks (``MC_CHUNK_DOUBLES``), the sums run in trajectory order,
-    and only the phases are kept between the two passes the standard error
-    needs, so memory is bounded for any trajectory count and the result is
-    bitwise that of one pass over all trajectories at once. A phase spread
+    or underflow for |mu| beyond about 1e154 or below 1e-154. The phases
+    are drawn in blocks with ``rng.fill_short_normals``, bitwise what each
+    trajectory's own stream draws, then scaled at once. The two passes the
+    standard error needs run in chunks (``MC_CHUNK_DOUBLES``), the sums in
+    trajectory order, and only the phases are kept between them, so memory
+    is bounded for any trajectory count and the result is bitwise that of
+    one pass over all trajectories at once. A phase spread
     above ``MAX_PHASE_SD`` raises ``ValueError``.
     """
     rho0 = validate_density_matrix(rho0)
@@ -214,14 +219,18 @@ def monte_carlo_dephasing(
     sd = np.copysign(sd, cfg.mu)
 
     n = cfg.n_trajectories
-    rows = MC_CHUNK_DOUBLES // _TRAJECTORY_DOUBLES
     phases = np.empty((n, 2))
-    rngs = item_rngs(cfg.seed, TRAJECTORY, range(n))
+    block = MC_CHUNK_DOUBLES // SHORT_ROW_WORDS
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        fill_short_normals(phases[start:stop], cfg.seed, TRAJECTORY,
+                           range(start, stop))
+    phases *= sd
+
+    rows = MC_CHUNK_DOUBLES // _TRAJECTORY_DOUBLES
     total = None
     for start in range(0, n, rows):
-        chunk = fill_normals(phases[start:start + rows], rngs)
-        chunk *= sd
-        total = _running_sum(total, _samples(chunk, rho0))
+        total = _running_sum(total, _samples(phases[start:start + rows], rho0))
     rho_est = total / n
     if n == 1:
         # one sample gives no spread estimate

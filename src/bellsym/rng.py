@@ -12,18 +12,34 @@ through :func:`item_rngs`: it checks the range once, before any draw, then
 re-keys a single Philox in place for each item, which draws what
 :func:`derived_rng` would without building a new generator per item (a
 counter-based generator's state is only its key and counter).
-:func:`fill_normals` fills one row of an array per item, the draw every
-scan, Monte-Carlo run and optimizer start makes.
+:func:`fill_normals` fills one row of an array per item, the draw the scans
+and the optimizer's starts make.
+
+:func:`fill_short_normals` draws the same bits for rows of at most four
+normals, which is all Monte Carlo needs, without a generator per row. Such a
+row is the first Philox output block of its key, one 64-bit word per normal,
+and numpy's ziggurat (Marsaglia & Tsang 2000) turns most words into a
+normal with one table lookup and one product. The kernel computes the block
+of every key with numpy integer arithmetic (Philox4x64-10; Salmon et al.,
+SC'11) and applies that fast path to all rows at once. The ziggurat tables
+are read once per process from numpy's own sampler through Philox's public
+state, each entry checked by a probe draw. A row with any word off the
+fast path is redrawn whole through the per-item generator, and an entry
+the probes cannot confirm puts all its words off the fast path, so it
+costs speed, not a changed draw.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import math
+from functools import cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["derived_rng", "item_rngs", "fill_normals", "TRAJECTORY",
-           "HAAR_SCAN", "OPT_RESTART", "FEASIBLE_SCAN"]
+__all__ = ["derived_rng", "item_rngs", "fill_normals", "fill_short_normals",
+           "SHORT_ROW_WORDS", "TRAJECTORY", "HAAR_SCAN", "OPT_RESTART",
+           "FEASIBLE_SCAN"]
 
 # stream namespaces
 TRAJECTORY = 0
@@ -33,6 +49,26 @@ FEASIBLE_SCAN = 3
 
 _MAX_SEED = 2**64
 _MAX_INDEX = 2**56
+
+# Most 8-byte words of temporaries fill_short_normals holds per row at once:
+# a Philox round holds the running key, the four counter words and eight
+# words of partial products; callers size their blocks by it.
+SHORT_ROW_WORDS = 16
+_BLOCK_WORDS = 4                  # 64-bit words of one Philox output block
+
+# Philox4x64-10: round multipliers and the Weyl increments of the key
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
+                     dtype=np.uint64)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(2**32 - 1)
+_32 = np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _32
+
+# numpy's ziggurat normal: the low 8 bits of a word index the tables, bit 8
+# is the sign and the next 52 bits the magnitude
+_ZIG_SIGN_BIT = 8
+_ZIG_MANTISSA = 52
 
 
 def _item_word(seed: int, stream: int, index: int) -> int:
@@ -44,6 +80,17 @@ def _item_word(seed: int, stream: int, index: int) -> int:
     if not 0 <= index < _MAX_INDEX:
         raise ValueError(f"index must be in [0, 2^56), got {index}")
     return (stream << 56) + index
+
+
+def _range_word(seed: int, stream: int, indices: range) -> int:
+    """Key word of index 0 of ``stream``, after checks of the whole range."""
+    word = _item_word(seed, stream, 0)
+    if not isinstance(indices, range):
+        raise TypeError(f"indices must be a range, got {type(indices)}")
+    if indices:
+        _item_word(seed, stream, indices[0])
+        _item_word(seed, stream, indices[-1])
+    return word
 
 
 def derived_rng(seed: int, stream: int, index: int) -> np.random.Generator:
@@ -61,13 +108,7 @@ def item_rngs(seed: int, stream: int,
     each yield, so draw from it before advancing the iterator. Seed, stream
     and the range's first and last index are checked here, before any draw.
     """
-    word = _item_word(seed, stream, 0)
-    if not isinstance(indices, range):
-        raise TypeError(f"indices must be a range, got {type(indices)}")
-    if indices:
-        _item_word(seed, stream, indices[0])
-        _item_word(seed, stream, indices[-1])
-    return _rekeyed(seed, word, indices)
+    return _rekeyed(seed, _range_word(seed, stream, indices), indices)
 
 
 def fill_normals(out: np.ndarray,
@@ -82,12 +123,48 @@ def fill_normals(out: np.ndarray,
     return out
 
 
+def fill_short_normals(out: np.ndarray, seed: int, stream: int,
+                       indices: range) -> np.ndarray:
+    """``fill_normals(out, item_rngs(seed, stream, indices))``, bit for bit.
+
+    For rows of at most four normals, the first Philox block of each item.
+    ``out`` is a C-contiguous float64 array with one row per index. Its
+    temporaries take at most ``SHORT_ROW_WORDS`` 8-byte words per row, so
+    callers bound memory by the number of rows they pass at once.
+    """
+    word = _range_word(seed, stream, indices)
+    if len(out) != len(indices):
+        raise ValueError(f"{len(out)} rows for {len(indices)} indices")
+    if out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float64 array")
+    width = math.prod(out.shape[1:])
+    if width > _BLOCK_WORDS:
+        raise ValueError(f"rows hold {width} normals, at most "
+                         f"{_BLOCK_WORDS} fit one Philox block")
+    if not out.size:
+        return out
+    rows = out.reshape(len(out), width)
+    # first + i * step: a range's stop, unlike its indices, may pass 2^63
+    step = indices.step if len(indices) > 1 else 1
+    words = (np.arange(len(indices), dtype=np.int64) * step
+             + indices.start).view(np.uint64)
+    words += np.uint64(word)
+    fast = np.ones(len(rows), dtype=bool)
+    for column, block_word in zip(rows.T, _philox_block1(seed, words)):
+        column[...] = _ziggurat_fast_path(block_word, fast)
+    slow = np.flatnonzero(~fast).tolist()
+    fill_normals((rows[i] for i in slow),
+                 _rekeyed(seed, word, (indices[i] for i in slow)))
+    return out
+
+
 def _rekeyed(seed: int, word: int,
-             indices: range) -> Iterator[np.random.Generator]:
-    key = np.array([seed, word], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
+             indices: Iterable[int]) -> Iterator[np.random.Generator]:
+    key = [seed, word]
+    bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
-    # the state of a fresh Philox: counter zero, output buffer empty
+    # the state of a fresh Philox: counter zero, output buffer empty; the
+    # key is a list of Python ints, which the state setter reads fastest
     state = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
@@ -96,3 +173,114 @@ def _rekeyed(seed: int, word: int,
         key[1] = word + index
         bitgen.state = state
         yield gen
+
+
+def _mulhilo(x: np.ndarray) -> np.ndarray:
+    """High words of the 128-bit products ``_PHILOX_M * x``, x (2, n).
+
+    ``x`` is overwritten with the low words. Schoolbook product of 32-bit
+    halves; no partial sum below overflows.
+    """
+    x_lo = x & _LO32
+    hi = x >> _32
+    x *= _PHILOX_M                      # uint64 arrays wrap modulo 2^64
+    mid = x_lo * _M_HI                  # the two cross products
+    cross = hi * _M_LO
+    hi *= _M_HI
+    x_lo *= _M_LO
+    x_lo >>= _32
+    mid += x_lo
+    np.bitwise_and(mid, _LO32, out=x_lo)
+    cross += x_lo
+    mid >>= _32
+    cross >>= _32
+    hi += mid
+    hi += cross
+    return hi
+
+
+def _philox_block1(seed: int, words: np.ndarray) -> list[np.ndarray]:
+    """Words 0-3 of Philox4x64-10 at counter 1 under keys [seed, words].
+
+    This is the first block a fresh Philox of that key outputs (numpy
+    increments the counter before each block). ``words`` is used up as the
+    running key. The counter is held as ``x = [v0, v2]``, the words the
+    multipliers act on, and ``y = [v1, v3]``.
+    """
+    k0, k1 = seed, words
+    # round 1 multiplies the counter words 1 and 0: x = [k0, k1], y = [0, M0]
+    x = np.stack((np.full_like(k1, k0), k1))
+    y = np.zeros_like(x)
+    y[1] = _PHILOX_M[0]
+    for _ in range(_PHILOX_ROUNDS - 1):
+        k0 = (k0 + _PHILOX_W[0]) % _MAX_SEED
+        k1 += np.uint64(_PHILOX_W[1])
+        hi = _mulhilo(x)
+        hi ^= y[::-1]
+        hi[0] ^= k1
+        hi[1] ^= np.uint64(k0)
+        x, y = hi[::-1], x[::-1]
+    return [x[0], y[0], x[1], y[1]]
+
+
+def _ziggurat_fast_path(words: np.ndarray, fast: np.ndarray) -> np.ndarray:
+    """numpy's normals of ``words`` where they take the ziggurat's fast path.
+
+    Clears ``fast`` where a word does not; there the normal is not numpy's.
+    ``words`` is used up.
+    """
+    wi, ki = _ziggurat_tables()
+    idx = (words & np.uint64(0xFF)).astype(np.intp)
+    negative = (words & np.uint64(1 << _ZIG_SIGN_BIT)).astype(bool)
+    words >>= np.uint64(_ZIG_SIGN_BIT + 1)
+    words &= np.uint64(2**_ZIG_MANTISSA - 1)        # the magnitudes
+    fast &= words < ki[idx]
+    normals = words.astype(np.float64)
+    normals *= wi[idx]
+    return np.negative(normals, out=normals, where=negative)
+
+
+@cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat tables ``wi`` and a checked lower bound of ``ki``.
+
+    A probe puts one chosen word at the head of a Philox's output buffer,
+    draws one normal and checks how many words the draw took: one means
+    the word took the fast path, ``|x| = magnitude * wi[idx]``
+    accepted iff ``magnitude < ki[idx]``. A probe of magnitude 1 reads
+    ``wi``. ``ki[i] / 2^52`` is the ratio ``wi[i - 1] / wi[i]`` of the layer
+    edges; two below its floor is kept where a probe of that bound minus 1,
+    sign bit set, is accepted with the value the fast path computes, and is
+    0 (every word falls back) elsewhere and for indices 0 and 1.
+    """
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    # the probe word, then 1, 2, 3: the draw took one word iff the next raw
+    # word is 1 (reading the state back instead costs 4 us a probe)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+             "buffer": [0, 1, 2, 3], "buffer_pos": 0,
+             "has_uint32": 0, "uinteger": 0}
+
+    def probe(word: int):
+        """The normal drawn from ``word`` if it took that word alone."""
+        state["buffer"][0] = word
+        bitgen.state = state
+        x = gen.standard_normal()
+        return x if bitgen.random_raw() == 1 else None
+
+    wi = np.zeros(256)
+    for i in range(256):
+        x = probe(i | (1 << _ZIG_SIGN_BIT + 1))
+        wi[i] = 0.0 if x is None else x
+    ki = np.zeros(256, dtype=np.uint64)
+    for i in range(2, 256):
+        if wi[i - 1] > 0.0 and wi[i] > 0.0:
+            bound = int(2**_ZIG_MANTISSA * wi[i - 1] / wi[i]) - 2
+            if 1 <= bound <= 2**_ZIG_MANTISSA:
+                magnitude = bound - 1
+                x = probe(i | (1 << _ZIG_SIGN_BIT)
+                          | (magnitude << _ZIG_SIGN_BIT + 1))
+                if x == -(magnitude * wi[i]):
+                    ki[i] = bound
+    return wi, ki

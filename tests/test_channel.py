@@ -13,7 +13,7 @@ from bellsym.channel import (
     gamma_factor,
     monte_carlo_dephasing,
 )
-from bellsym.rng import TRAJECTORY, derived_rng
+from bellsym.rng import SHORT_ROW_WORDS, TRAJECTORY, derived_rng
 from bellsym.symmetry import BellState
 
 from conftest import random_density_matrix
@@ -314,6 +314,13 @@ class TestMonteCarlo:
         assert peak <= 16 * n + 2 * 2**20
 
 
+def assert_equals_loop_reference(rho0, params, cfg):
+    est, err = monte_carlo_dephasing(rho0, params, cfg)
+    ref, ref_err = loop_reference(rho0, params, cfg)
+    assert est.tobytes() == ref.tobytes()
+    assert np.float64(err).tobytes() == np.float64(ref_err).tobytes()
+
+
 def loop_reference(rho0, params, cfg):
     """Monte Carlo one trajectory at a time, then numpy's mean and std."""
     rates = np.array([params.gamma_rate_a, params.gamma_rate_b])
@@ -349,12 +356,23 @@ class TestMonteCarloChunks:
         params = ChannelParams(0.7, 2.3, 1.0)
         for n in sorted({1, 2, max(1, rows - 1), rows + 1}):
             for mu in (1.0, -2.5):
-                cfg = NoiseTrajectoryConfig(n, 0.05, seed=n, mu=mu)
-                est, err = monte_carlo_dephasing(rho, params, cfg)
-                ref, ref_err = loop_reference(rho, params, cfg)
-                assert est.tobytes() == ref.tobytes()
-                assert np.float64(err).tobytes() == \
-                    np.float64(ref_err).tobytes()
+                assert_equals_loop_reference(
+                    rho, params, NoiseTrajectoryConfig(n, 0.05, seed=n, mu=mu))
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_draw_block_edges_equal_loop_reference(self, monkeypatch, rows):
+        # phases are drawn in blocks of MC_CHUNK_DOUBLES // SHORT_ROW_WORDS
+        # trajectories, independent of the chunks of the two reductions
+        if rows is not None:
+            monkeypatch.setattr(channel, "MC_CHUNK_DOUBLES",
+                                rows * channel._TRAJECTORY_DOUBLES)
+        block = channel.MC_CHUNK_DOUBLES // SHORT_ROW_WORDS
+        rho = BellState.B3.density()
+        params = ChannelParams(0.7, 2.3, 1.0)
+        for n in (block - 1, block, block + 1):
+            for mu in (1.0, -2.5):
+                assert_equals_loop_reference(
+                    rho, params, NoiseTrajectoryConfig(n, 0.05, seed=n, mu=mu))
 
     def test_random_state_equals_loop_reference(self, monkeypatch, rng):
         monkeypatch.setattr(channel, "MC_CHUNK_DOUBLES",

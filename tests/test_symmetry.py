@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellsym import linalg, symmetry
+from bellsym import linalg, spinbath, symmetry
 from bellsym.channel import dephase_with_factors
 from bellsym.kraus import (
     KrausFactors,
@@ -34,6 +34,7 @@ from bellsym.symmetry import (
     symmetric_probability,
 )
 from bellsym.rng import FEASIBLE_SCAN, HAAR_SCAN, derived_rng
+from bellsym.spinbath import decoherence_factor, identical_bath, random_bath
 
 from conftest import assert_valid_for_schema, random_hermitian
 
@@ -896,6 +897,27 @@ class TestCeiling:
         ceiling = symmetric_ceiling(canonical, bell)
         for kset in (remixed, extracted):
             assert abs(symmetric_ceiling(kset, bell) - ceiling) <= 1e-12
+
+    @pytest.mark.parametrize("t", (0.3, 1.0, 4.0))
+    @pytest.mark.parametrize("equal_amplitudes", (True, False))
+    def test_spin_bath_law(self, equal_amplitudes, t):
+        # two identical 20-spin baths follow the classical law with gamma^2
+        # replaced by |r(t)|^2; the set comes from the entrywise map alone
+        bath_a, bath_b = identical_bath(
+            random_bath(20, seed=8, equal_amplitudes=equal_amplitudes))
+        r_a = decoherence_factor(bath_a, t)
+        pattern = (spinbath._qubit_factor(r_a, spinbath._BIT_1)
+                   * spinbath._qubit_factor(decoherence_factor(bath_b, t),
+                                            spinbath._BIT_2))
+        choi = np.zeros((16, 16), dtype=complex)
+        doubled = 5 * np.arange(4)
+        choi[np.ix_(doubled, doubled)] = pattern
+        kset = kraus_from_choi(choi)
+        r_sq = abs(r_a) ** 2
+        assert abs(symmetric_ceiling(kset, BellState.B3)
+                   - (1 + r_sq) / 2) <= 1e-12
+        assert abs(symmetric_ceiling(kset, BellState.B4)
+                   - (1 - r_sq) / 2) <= 1e-12
 
     @pytest.mark.parametrize("gamma", CEILING_GAMMAS)
     @pytest.mark.parametrize("bell", list(BellState))
