@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import validate_density_matrix
-from .rng import SHORT_ROW_WORDS, TRAJECTORY, fill_short_normals
+from .rng import TRAJECTORY, check_range, fill_normals
 
 __all__ = [
     "ChannelParams",
@@ -40,8 +40,6 @@ __all__ = [
 # sigma_z eigenvalue of each qubit for the product basis |00>,|01>,|10>,|11>
 _SIGN_A = np.array([1.0, 1.0, -1.0, -1.0])
 _SIGN_B = np.array([1.0, -1.0, 1.0, -1.0])
-
-_MAX_SEED = 2**64
 
 
 @dataclass(frozen=True)
@@ -90,10 +88,9 @@ class NoiseTrajectoryConfig:
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1, got "
                              f"{self.n_trajectories}")
+        check_range(self.seed, TRAJECTORY, range(self.n_trajectories))
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
-        if not (0 <= self.seed < _MAX_SEED):
-            raise ValueError("seed must be an unsigned 64-bit integer")
         if not np.isfinite(self.mu) or self.mu == 0.0:
             raise ValueError(f"mu must be finite and nonzero, got {self.mu}")
 
@@ -142,14 +139,12 @@ def apply_dephasing(rho0, params: ChannelParams) -> np.ndarray:
     return dephase_with_factors(rho0, params.gamma_a, params.gamma_b)
 
 
-# Doubles a chunk of Monte-Carlo trajectories may hold (8 B each, 512 KiB).
-# The phases are drawn first, in blocks of MC_CHUNK_DOUBLES //
-# rng.SHORT_ROW_WORDS (4096) trajectories, the most temporaries
-# fill_short_normals takes per row. The two reductions then run in chunks
-# in which each trajectory takes its 2 phase normals and four 4x4 complex
-# temporaries (32 doubles each) in _samples and _running_sum. Memory beyond
-# a block or chunk is the (n_trajectories, 2) phases, 16 B per trajectory;
-# the results do not depend on the block or chunk size.
+# Doubles a chunk of Monte-Carlo trajectories may hold (8 B each, 512 KiB)
+# in the two reductions: each trajectory takes its 2 phase normals and four
+# 4x4 complex temporaries (32 doubles each) in _samples and _ordered_sum.
+# Memory beyond a chunk is the (n_trajectories, 2) phases, 16 B per
+# trajectory, whose draw rng bounds itself; the results do not depend on
+# the chunk size.
 MC_CHUNK_DOUBLES = 2**16
 _TRAJECTORY_DOUBLES = 2 + 4 * 32
 # Largest spread sqrt(rate * time) of a phase. No normal numpy draws exceeds
@@ -166,16 +161,20 @@ def _samples(phases: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     return (u[:, :, None] * u[:, None, :].conj()) * rho0
 
 
-def _running_sum(total, x: np.ndarray) -> np.ndarray:
-    """``total`` plus the rows of ``x`` added in index order.
+def _ordered_sum(phases: np.ndarray, rho0: np.ndarray, term) -> np.ndarray:
+    """Sum over trajectories of ``term(samples)``, added in trajectory order.
 
-    numpy's axis-0 sum adds rows in order, so carrying ``total`` in front of
-    each chunk gives the bits of one sum over all rows. The first chunk
-    (``total`` None) is summed alone, as numpy starts the sum of all rows.
+    Trajectories are taken a chunk at a time (``MC_CHUNK_DOUBLES``). numpy's
+    axis-0 sum adds rows in order, so carrying the total in front of each
+    chunk gives the bits of one sum over all rows; the first chunk is summed
+    alone, as numpy starts the sum of all rows.
     """
-    if total is None:
-        return x.sum(axis=0)
-    return np.concatenate((total[None], x)).sum(axis=0)
+    rows = MC_CHUNK_DOUBLES // _TRAJECTORY_DOUBLES
+    total = term(_samples(phases[:rows], rho0)).sum(axis=0)
+    for start in range(rows, len(phases), rows):
+        chunk = term(_samples(phases[start:start + rows], rho0))
+        total = np.concatenate((total[None], chunk)).sum(axis=0)
+    return total
 
 
 def monte_carlo_dephasing(
@@ -197,10 +196,10 @@ def monte_carlo_dephasing(
     sign(mu) * sqrt(Gamma_i * t): white noise makes each accumulated phase
     exactly Gaussian, so no time steps are taken and ``cfg.dt`` does not
     enter. mu only sets the sign, so mu^2 is never formed: it would overflow
-    or underflow for |mu| beyond about 1e154 or below 1e-154. The phases
-    are drawn in blocks with ``rng.fill_short_normals``, bitwise what each
-    trajectory's own stream draws, then scaled at once. The two passes the
-    standard error needs run in chunks (``MC_CHUNK_DOUBLES``), the sums in
+    or underflow for |mu| beyond about 1e154 or below 1e-154. All phases
+    are drawn with one ``rng.fill_normals``, bitwise what each trajectory's
+    own stream draws, then scaled at once. The two passes the standard
+    error needs run in chunks (``MC_CHUNK_DOUBLES``), the sums in
     trajectory order, and only the phases are kept between them, so memory
     is bounded for any trajectory count and the result is bitwise that of
     one pass over all trajectories at once. A phase spread
@@ -219,18 +218,10 @@ def monte_carlo_dephasing(
     sd = np.copysign(sd, cfg.mu)
 
     n = cfg.n_trajectories
-    phases = np.empty((n, 2))
-    block = MC_CHUNK_DOUBLES // SHORT_ROW_WORDS
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        fill_short_normals(phases[start:stop], cfg.seed, TRAJECTORY,
-                           range(start, stop))
+    phases = fill_normals(np.empty((n, 2)), cfg.seed, TRAJECTORY, range(n))
     phases *= sd
 
-    rows = MC_CHUNK_DOUBLES // _TRAJECTORY_DOUBLES
-    total = None
-    for start in range(0, n, rows):
-        total = _running_sum(total, _samples(phases[start:start + rows], rho0))
+    total = _ordered_sum(phases, rho0, lambda samples: samples)
     rho_est = total / n
     if n == 1:
         # one sample gives no spread estimate
@@ -239,9 +230,11 @@ def monte_carlo_dephasing(
     # ddof=1 standard deviations of the real and imaginary parts, as
     # np.std computes them: squared deviations from the mean, summed in order
     mean = total.view(float) / n                         # (4, 8) re, im pairs
-    sq = None
-    for start in range(0, n, rows):
-        dev = _samples(phases[start:start + rows], rho0).view(float) - mean
-        sq = _running_sum(sq, np.square(dev, out=dev))
+
+    def squared_deviations(samples):
+        dev = samples.view(float) - mean
+        return np.square(dev, out=dev)
+
+    sq = _ordered_sum(phases, rho0, squared_deviations)
     sem = np.sqrt(sq / (n - 1)) / np.sqrt(n)
     return rho_est, float(sem.max())

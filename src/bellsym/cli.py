@@ -71,6 +71,20 @@ def _open_out(path: str | None):
         raise FileError(f"cannot write output file {path!r}: {exc}") from exc
 
 
+# Characters passed to one write. A single write of a long text to a pipe
+# whose reader has left can return short without raising, and the run would
+# end as a success; written in pieces, the write after the reader left
+# raises BrokenPipeError.
+_WRITE_PIECE = 2**16
+
+
+def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to standard output."""
+    with _open_out(path) as fh:
+        for start in range(0, len(text), _WRITE_PIECE):
+            fh.write(text[start:start + _WRITE_PIECE])
+
+
 def _write_csv(path: str | None, header: tuple[str, ...], table) -> None:
     """Write the rows of the float array ``table``, each cell ``%.17g``;
     like a JSON report, a table holding a NaN or an infinity is not
@@ -88,8 +102,7 @@ def _write_csv(path: str | None, header: tuple[str, ...], table) -> None:
                     for x, f in zip(table[0].tolist(), fixed.tolist())]) + "\n"
     text = ",".join(header) + "\n" + "".join(
         [row % tuple(v) for v in table[:, ~fixed].tolist()])
-    with _open_out(path) as fh:
-        fh.write(text)
+    _emit(path, text)
 
 
 class NonFiniteOutputError(ArithmeticError):
@@ -102,8 +115,7 @@ def _write_json(path: str | None, doc: dict) -> None:
         text = json.dumps(doc, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteOutputError(f"report not written: {exc}") from exc
-    with _open_out(path) as fh:
-        fh.write(text + "\n")
+    _emit(path, text + "\n")
 
 
 _STATE_HEADER = tuple(f"rho{i}{j}_{part}" for i in range(1, 5)
@@ -163,7 +175,7 @@ def _cmd_optimize(args) -> None:
     if args.scan_samples < 1:
         raise ValueError(f"--scan-samples must be >= 1, got {args.scan_samples}")
     # the scan runs after the search: refuse its stream indices before it
-    rng.item_rngs(args.seed, rng.FEASIBLE_SCAN, range(args.scan_samples))
+    rng.check_range(args.seed, rng.FEASIBLE_SCAN, range(args.scan_samples))
     if not (np.isfinite(args.agreement_tol) and args.agreement_tol >= 0.0):
         raise ValueError("--agreement-tol must be finite and >= 0, got "
                          f"{args.agreement_tol}")

@@ -8,38 +8,36 @@ same seed can drive several subsystems without their draws overlapping.
 Item ``index`` of ``stream`` under ``seed`` is the Philox stream with key
 ``[seed, (stream << 56) + index]`` and counter zero. :func:`derived_rng`
 builds one such generator. A run draws its items, a ``range`` of indices,
-through :func:`item_rngs`: it checks the range once, before any draw, then
-re-keys a single Philox in place for each item, which draws what
-:func:`derived_rng` would without building a new generator per item (a
-counter-based generator's state is only its key and counter).
-:func:`fill_normals` fills one row of an array per item, the draw the scans
-and the optimizer's starts make.
+through :func:`fill_normals`, which fills one row of an array with the
+standard normals of each item. It checks the seed, the stream and the whole
+range before any draw; :func:`check_range` makes the same checks alone, for
+a caller that draws a range in several calls.
 
-:func:`fill_short_normals` draws the same bits for rows of at most four
-normals, which is all Monte Carlo needs, without a generator per row. Such a
-row is the first Philox output block of its key, one 64-bit word per normal,
-and numpy's ziggurat (Marsaglia & Tsang 2000) turns most words into a
-normal with one table lookup and one product. The kernel computes the block
-of every key with numpy integer arithmetic (Philox4x64-10; Salmon et al.,
-SC'11) and applies that fast path to all rows at once. The ziggurat tables
-are read once per process from numpy's own sampler through Philox's public
-state, each entry checked by a probe draw. A row with any word off the
-fast path is redrawn whole through the per-item generator, and an entry
-the probes cannot confirm puts all its words off the fast path, so it
-costs speed, not a changed draw.
+Rows of at most four normals, all Monte Carlo needs, are the first Philox
+output block of their key, one 64-bit word per normal, and numpy's ziggurat
+(Marsaglia & Tsang 2000) turns most words into a normal with one table
+lookup and one product. The kernel computes the block of every key with
+numpy integer arithmetic (Philox4x64-10; Salmon et al., SC'11) and applies
+that fast path to all rows of a pass at once. The ziggurat tables are read
+once per process from numpy's own sampler through Philox's public state,
+each entry checked by a probe draw. A row with any word off the fast path
+is redrawn whole from its own stream, and an entry the probes cannot
+confirm puts all its words off the fast path, so it costs speed, not a
+changed draw. Wider rows are drawn item by item, re-keying one Philox in
+place, which draws what :func:`derived_rng` would without building a new
+generator per item (a counter-based generator's state is only its key and
+counter).
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["derived_rng", "item_rngs", "fill_normals", "fill_short_normals",
-           "SHORT_ROW_WORDS", "TRAJECTORY", "HAAR_SCAN", "OPT_RESTART",
-           "FEASIBLE_SCAN"]
+__all__ = ["derived_rng", "check_range", "fill_normals", "TRAJECTORY",
+           "HAAR_SCAN", "OPT_RESTART", "FEASIBLE_SCAN"]
 
 # stream namespaces
 TRAJECTORY = 0
@@ -50,11 +48,11 @@ FEASIBLE_SCAN = 3
 _MAX_SEED = 2**64
 _MAX_INDEX = 2**56
 
-# Most 8-byte words of temporaries fill_short_normals holds per row at once:
-# a Philox round holds the running key, the four counter words and eight
-# words of partial products; callers size their blocks by it.
-SHORT_ROW_WORDS = 16
 _BLOCK_WORDS = 4                  # 64-bit words of one Philox output block
+# Rows of at most _BLOCK_WORDS normals the kernel draws per pass. A Philox
+# round holds the running key, the four counter words and eight words of
+# partial products, at most 16 8-byte words per row: 512 KiB a pass.
+_KERNEL_ROWS = 4096
 
 # Philox4x64-10: round multipliers and the Weyl increments of the key
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
@@ -71,66 +69,44 @@ _ZIG_SIGN_BIT = 8
 _ZIG_MANTISSA = 52
 
 
-def _item_word(seed: int, stream: int, index: int) -> int:
-    """Second key word of the item, after range checks of all three."""
+def _range_word(seed: int, stream: int, indices: range) -> int:
+    """Key word of index 0 of ``stream``, after checks of the whole range."""
     if not 0 <= seed < _MAX_SEED:
         raise ValueError("seed must be an unsigned 64-bit integer")
     if not 0 <= stream < 256:
         raise ValueError(f"stream must be in [0, 255], got {stream}")
-    if not 0 <= index < _MAX_INDEX:
-        raise ValueError(f"index must be in [0, 2^56), got {index}")
-    return (stream << 56) + index
-
-
-def _range_word(seed: int, stream: int, indices: range) -> int:
-    """Key word of index 0 of ``stream``, after checks of the whole range."""
-    word = _item_word(seed, stream, 0)
     if not isinstance(indices, range):
         raise TypeError(f"indices must be a range, got {type(indices)}")
-    if indices:
-        _item_word(seed, stream, indices[0])
-        _item_word(seed, stream, indices[-1])
-    return word
+    for index in (indices[0], indices[-1]) if indices else ():
+        if not 0 <= index < _MAX_INDEX:
+            raise ValueError(f"index must be in [0, 2^56), got {index}")
+    return stream << 56
 
 
 def derived_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     """Generator for work item ``index`` of ``stream`` under ``seed``."""
-    key = np.array([seed, _item_word(seed, stream, index)], dtype=np.uint64)
+    word = _range_word(seed, stream, range(index, index + 1)) + index
+    key = np.array([seed, word], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def item_rngs(seed: int, stream: int,
-              indices: range) -> Iterator[np.random.Generator]:
-    """Generators of the work items ``indices`` of ``stream`` under ``seed``.
-
-    Each yielded generator draws exactly what ``derived_rng(seed, stream,
-    index)`` would. It is one generator object, re-keyed in place before
-    each yield, so draw from it before advancing the iterator. Seed, stream
-    and the range's first and last index are checked here, before any draw.
-    """
-    return _rekeyed(seed, _range_word(seed, stream, indices), indices)
+def check_range(seed: int, stream: int, indices: range) -> None:
+    """Raise what :func:`fill_normals` would for ``seed``, ``stream`` and
+    ``indices``, without drawing: ``TypeError`` unless ``indices`` is a
+    range, ``ValueError`` for a seed, a stream or an index out of range."""
+    _range_word(seed, stream, indices)
 
 
-def fill_normals(out: np.ndarray,
-                 rngs: Iterator[np.random.Generator]) -> np.ndarray:
-    """Fill each row ``out[i]`` with standard normals from the next of ``rngs``.
+def fill_normals(out: np.ndarray, seed: int, stream: int,
+                 indices: range) -> np.ndarray:
+    """Fill each row ``out[i]`` with the standard normals of item
+    ``indices[i]`` of ``stream`` under ``seed``.
 
-    Takes exactly ``len(out)`` generators from ``rngs``, so successive chunks
-    of one run can share the iterator. Rows must be C-contiguous.
-    """
-    for row, rng in zip(out, rngs):
-        rng.standard_normal(out=row)
-    return out
-
-
-def fill_short_normals(out: np.ndarray, seed: int, stream: int,
-                       indices: range) -> np.ndarray:
-    """``fill_normals(out, item_rngs(seed, stream, indices))``, bit for bit.
-
-    For rows of at most four normals, the first Philox block of each item.
-    ``out`` is a C-contiguous float64 array with one row per index. Its
-    temporaries take at most ``SHORT_ROW_WORDS`` 8-byte words per row, so
-    callers bound memory by the number of rows they pass at once.
+    Row ``i`` is bitwise ``derived_rng(seed, stream, indices[i])
+    .standard_normal(out.shape[1:])``. ``out`` is a C-contiguous float64
+    array with one row per index. Seed, stream and the range's first and
+    last index are checked before any draw. Memory beyond ``out`` is
+    bounded for any number of rows.
     """
     word = _range_word(seed, stream, indices)
     if len(out) != len(indices):
@@ -138,12 +114,19 @@ def fill_short_normals(out: np.ndarray, seed: int, stream: int,
     if out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous float64 array")
     width = math.prod(out.shape[1:])
-    if width > _BLOCK_WORDS:
-        raise ValueError(f"rows hold {width} normals, at most "
-                         f"{_BLOCK_WORDS} fit one Philox block")
-    if not out.size:
-        return out
     rows = out.reshape(len(out), width)
+    if width > _BLOCK_WORDS:
+        _per_item(rows, seed, word, indices)
+        return out
+    for start in range(0, len(rows), _KERNEL_ROWS):
+        _short_rows(rows[start:start + _KERNEL_ROWS], seed, word,
+                    indices[start:start + _KERNEL_ROWS])
+    return out
+
+
+def _short_rows(rows: np.ndarray, seed: int, word: int,
+                indices: range) -> None:
+    """Rows (m, <= 4) from the first Philox block of each item."""
     # first + i * step: a range's stop, unlike its indices, may pass 2^63
     step = indices.step if len(indices) > 1 else 1
     words = (np.arange(len(indices), dtype=np.int64) * step
@@ -153,13 +136,12 @@ def fill_short_normals(out: np.ndarray, seed: int, stream: int,
     for column, block_word in zip(rows.T, _philox_block1(seed, words)):
         column[...] = _ziggurat_fast_path(block_word, fast)
     slow = np.flatnonzero(~fast).tolist()
-    fill_normals((rows[i] for i in slow),
-                 _rekeyed(seed, word, (indices[i] for i in slow)))
-    return out
+    _per_item([rows[i] for i in slow], seed, word, [indices[i] for i in slow])
 
 
-def _rekeyed(seed: int, word: int,
-             indices: Iterable[int]) -> Iterator[np.random.Generator]:
+def _per_item(rows, seed: int, word: int, indices) -> None:
+    """Fill each of ``rows`` from its item of ``indices``, re-keying one
+    Philox in place; rows must be C-contiguous."""
     key = [seed, word]
     bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
@@ -169,10 +151,10 @@ def _rekeyed(seed: int, word: int,
              "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for index in indices:
+    for row, index in zip(rows, indices):
         key[1] = word + index
         bitgen.state = state
-        yield gen
+        gen.standard_normal(out=row)
 
 
 def _mulhilo(x: np.ndarray) -> np.ndarray:

@@ -45,7 +45,8 @@ import numpy as np
 
 from . import linalg
 from .kraus import KrausFactors, _mixer_stack
-from .rng import FEASIBLE_SCAN, HAAR_SCAN, OPT_RESTART, fill_normals, item_rngs
+from .rng import (FEASIBLE_SCAN, HAAR_SCAN, OPT_RESTART, check_range,
+                  fill_normals)
 
 __all__ = [
     "BellState",
@@ -593,8 +594,7 @@ def maximize_symmetric_probability(
 
     starts = np.zeros((N_RESTARTS, ndim))
     starts[0, 0] = 1.0
-    fill_normals(starts[1:],
-                 item_rngs(seed, OPT_RESTART, range(1, N_RESTARTS)))
+    fill_normals(starts[1:], seed, OPT_RESTART, range(1, N_RESTARTS))
     best_value = -np.inf
     best_params = None
     for sim, fsim, _ in minimize(negative_objective, starts,
@@ -661,10 +661,11 @@ def _scan(bell, gamma, n_samples, seed, stream, shape, build) -> ScanResult:
     p_max = -np.inf
     p_min = np.inf
     total = 0.0
-    rngs = item_rngs(seed, stream, range(n_samples))
+    check_range(seed, stream, range(n_samples))
     for start in range(0, n_samples, SCAN_CHUNK):
-        z = fill_normals(
-            np.empty((min(SCAN_CHUNK, n_samples - start),) + shape), rngs)
+        stop = min(n_samples, start + SCAN_CHUNK)
+        z = fill_normals(np.empty((stop - start,) + shape), seed, stream,
+                         range(start, stop))
         p = _symmetric(bell, diagonals, build(z))
         p_max = max(p_max, p.max())
         p_min = min(p_min, p.min())

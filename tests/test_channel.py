@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bellsym import channel
+from bellsym import channel, rng as rng_module
 from bellsym.channel import (
     ChannelParams,
     NoiseTrajectoryConfig,
@@ -13,7 +13,7 @@ from bellsym.channel import (
     gamma_factor,
     monte_carlo_dephasing,
 )
-from bellsym.rng import SHORT_ROW_WORDS, TRAJECTORY, derived_rng
+from bellsym.rng import TRAJECTORY, derived_rng
 from bellsym.symmetry import BellState
 
 from conftest import random_density_matrix
@@ -241,6 +241,15 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="n_trajectories"):
             NoiseTrajectoryConfig(n_trajectories=0, dt=0.1, seed=0)
 
+    @pytest.mark.parametrize("seed,n", [(-1, 2), (2**64, 2), (0, 2**56 + 1)])
+    def test_seed_and_count_checked_as_derived_rng_checks_them(self, seed, n):
+        # the last trajectory of n = 2^56 + 1 has index 2^56
+        with pytest.raises(ValueError) as derived:
+            derived_rng(seed, TRAJECTORY, n - 1)
+        with pytest.raises(ValueError) as config:
+            NoiseTrajectoryConfig(n_trajectories=n, dt=0.1, seed=seed)
+        assert str(config.value) == str(derived.value)
+
     @pytest.mark.parametrize("dt", [np.inf, np.nan, -np.inf])
     def test_non_finite_dt_rejected(self, dt):
         with pytest.raises(ValueError, match="dt must be finite"):
@@ -359,14 +368,16 @@ class TestMonteCarloChunks:
                 assert_equals_loop_reference(
                     rho, params, NoiseTrajectoryConfig(n, 0.05, seed=n, mu=mu))
 
-    @pytest.mark.parametrize("rows", [1, 7, None])
-    def test_draw_block_edges_equal_loop_reference(self, monkeypatch, rows):
-        # phases are drawn in blocks of MC_CHUNK_DOUBLES // SHORT_ROW_WORDS
-        # trajectories, independent of the chunks of the two reductions
+    @pytest.mark.parametrize("rows,block", [(1, 8), (7, 56), (None, None)])
+    def test_draw_block_edges_equal_loop_reference(self, monkeypatch, rows,
+                                                   block):
+        # phases are drawn in passes of rng._KERNEL_ROWS trajectories,
+        # independent of the chunks of the two reductions
         if rows is not None:
             monkeypatch.setattr(channel, "MC_CHUNK_DOUBLES",
                                 rows * channel._TRAJECTORY_DOUBLES)
-        block = channel.MC_CHUNK_DOUBLES // SHORT_ROW_WORDS
+            monkeypatch.setattr(rng_module, "_KERNEL_ROWS", block)
+        block = rng_module._KERNEL_ROWS
         rho = BellState.B3.density()
         params = ChannelParams(0.7, 2.3, 1.0)
         for n in (block - 1, block, block + 1):

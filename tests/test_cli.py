@@ -504,6 +504,9 @@ class TestOutputAtTheProcessBoundary:
         proc.stderr.close()
         assert_documented_failure(proc.wait(), err)
         assert head == b"t,gamma,rh"
+        assert proc.returncode == 3
+        assert err == ("error: cannot write standard output: "
+                       "[Errno 32] Broken pipe\n")
 
     def test_output_path_is_a_directory(self, tmp_path):
         proc = run_cli(["kraus", "--gamma", "0.5", "-o", str(tmp_path)],

@@ -5,64 +5,74 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bellsym.rng as rng_module
-from bellsym.rng import (SHORT_ROW_WORDS, derived_rng, fill_normals,
-                         fill_short_normals, item_rngs)
+from bellsym.rng import check_range, derived_rng, fill_normals
 
 MAX_SEED = 2**64 - 1
 MAX_INDEX = 2**56 - 1
 
 
-def draws(rng: np.random.Generator) -> list:
-    # normals, doubles and 32-bit integers use the generator's buffers
-    # differently; a re-keyed stream must reset all of them
-    return [rng.standard_normal(5), rng.integers(0, 2**31, size=3,
-                                                 dtype=np.int32),
-            rng.random(3), rng.integers(0, 7, size=1, dtype=np.int32)]
+def reference(shape, seed, stream, indices) -> np.ndarray:
+    """Rows of ``shape``, each drawn from its item's own ``derived_rng``."""
+    out = np.empty((len(indices),) + shape)
+    for row, index in zip(out, indices):
+        row[...] = derived_rng(seed, stream, index).standard_normal(shape)
+    return out
 
 
-def assert_same_draws(a: np.random.Generator, b: np.random.Generator):
-    for x, y in zip(draws(a), draws(b)):
-        assert np.array_equal(x, y)
-
-
+# rows of at most four normals take the kernel, wider rows the per-item loop
+@pytest.mark.parametrize("row_shape", [(1,), (2,), (3,), (4,), (2, 2), (5,),
+                                       (32,), (2, 4, 4)])
 @pytest.mark.parametrize("seed,stream,indices", [
-    (0, 0, range(3)),
+    (0, 0, range(3000)),
     (7, 1, range(MAX_INDEX - 1, MAX_INDEX + 1)),
+    (2**63, 0, range(MAX_INDEX - 1999, MAX_INDEX + 1)),
+    (MAX_SEED, 255, range(MAX_INDEX - 1999, MAX_INDEX + 1)),
+    (2**63 + 12345, 255, range(MAX_INDEX, -1, -(MAX_INDEX // 1999))),
     (MAX_SEED, 3, range(MAX_INDEX, -1, -MAX_INDEX)),
-    (MAX_SEED, 255, range(MAX_INDEX, MAX_INDEX + 1)),
+    (MAX_SEED, 3, range(MAX_INDEX, MAX_INDEX + 1)),
+    (9, 1, range(7, 10**30, 10**30)),     # one index, stop beyond int64
+    (5, 0, range(0)),
 ])
-def test_item_rngs_match_derived_rng(seed, stream, indices):
-    for index, rng in zip(indices, item_rngs(seed, stream, indices)):
-        assert_same_draws(rng, derived_rng(seed, stream, index))
+def test_fill_normals_matches_derived_rng(row_shape, seed, stream, indices):
+    shape = (len(indices),) + row_shape
+    out = fill_normals(np.empty(shape), seed, stream, indices)
+    assert out.tobytes() == reference(row_shape, seed, stream,
+                                      indices).tobytes()
 
 
-def test_item_rngs_match_derived_rng_on_every_stream():
+@pytest.mark.parametrize("row_shape", [(3,), (8,)])
+def test_fill_normals_matches_derived_rng_on_every_stream(row_shape):
     for stream in range(256):
-        (rng,) = item_rngs(MAX_SEED, stream, range(stream, stream + 1))
-        assert np.array_equal(rng.standard_normal(3),
-                              derived_rng(MAX_SEED, stream, stream)
-                              .standard_normal(3))
+        indices = range(stream, stream + 1)
+        out = fill_normals(np.empty((1,) + row_shape), MAX_SEED, stream,
+                           indices)
+        assert np.array_equal(out, reference(row_shape, MAX_SEED, stream,
+                                             indices))
 
 
-def test_item_rngs_yield_one_generator_per_index():
-    assert len(list(item_rngs(1, 2, range(10)))) == 10
-    assert list(item_rngs(1, 2, range(0))) == []
+@pytest.mark.parametrize("kernel_rows", [1, 7])
+def test_kernel_passes_do_not_change_the_draw(monkeypatch, kernel_rows):
+    indices = range(MAX_INDEX, -1, -(MAX_INDEX // 99))
+    expected = reference((2,), MAX_SEED, 0, indices)
+    monkeypatch.setattr(rng_module, "_KERNEL_ROWS", kernel_rows)
+    out = fill_normals(np.empty((len(indices), 2)), MAX_SEED, 0, indices)
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("row_shape", [(2,), (2, 4)])
+def test_successive_ranges_draw_one_range(row_shape):
+    # a run drawn in chunks, as the scans draw it, is one draw of its range
+    whole = fill_normals(np.empty((5,) + row_shape), 9, 1, range(5))
+    first = fill_normals(np.empty((3,) + row_shape), 9, 1, range(3))
+    second = fill_normals(np.empty((2,) + row_shape), 9, 1, range(3, 5))
+    assert np.concatenate((first, second)).tobytes() == whole.tobytes()
 
 
 def test_indices_must_be_a_range():
     with pytest.raises(TypeError, match="range"):
-        item_rngs(1, 2, [0, 1])
-
-
-def test_fill_normals_takes_one_stream_per_row():
-    # two chunks share one iterator: rows 0-2, then rows 3-4
-    rngs = item_rngs(9, 1, range(5))
-    first = fill_normals(np.empty((3, 2, 4)), rngs)
-    second = fill_normals(np.empty((2, 2, 4)), rngs)
-    for index, row in enumerate(np.concatenate((first, second))):
-        assert np.array_equal(row,
-                              derived_rng(9, 1, index).standard_normal((2, 4)))
-    assert list(rngs) == []
+        check_range(1, 2, [0, 1])
+    with pytest.raises(TypeError, match="range"):
+        fill_normals(np.empty((2, 2)), 1, 2, [0, 1])
 
 
 @pytest.mark.parametrize("seed,stream", [
@@ -71,27 +81,36 @@ def test_fill_normals_takes_one_stream_per_row():
 def test_bad_seed_or_stream_rejected_eagerly(seed, stream):
     with pytest.raises(ValueError) as derived:
         derived_rng(seed, stream, 0)
-    with pytest.raises(ValueError) as rekeyed:
-        item_rngs(seed, stream, range(0))
-    assert str(rekeyed.value) == str(derived.value)
+    with pytest.raises(ValueError) as checked:
+        check_range(seed, stream, range(0))
+    with pytest.raises(ValueError) as filled:
+        fill_normals(np.empty((0, 2)), seed, stream, range(0))
+    assert str(checked.value) == str(filled.value) == str(derived.value)
 
 
+@pytest.mark.parametrize("width", [2, 8])
 @pytest.mark.parametrize("index", [-1, 2**56])
-def test_bad_index_rejected(index):
+def test_bad_index_rejected(index, width):
     # the range [0, index] is refused before its valid item 0 is drawn
     with pytest.raises(ValueError, match="index") as derived:
         derived_rng(0, 0, index)
-    with pytest.raises(ValueError) as rekeyed:
-        item_rngs(0, 0, range(0, 2 * index, index))
-    assert str(rekeyed.value) == str(derived.value)
+    out = np.full((2, width), np.nan)
+    with pytest.raises(ValueError) as filled:
+        fill_normals(out, 0, 0, range(0, 2 * index, index))
+    assert str(filled.value) == str(derived.value)
+    assert np.isnan(out).all()
 
 
 def test_seeds_above_2_63_keep_distinct_streams():
     # such seeds were once rounded through float64: 2^63 + 1 drew the
     # streams of 2^63, and 2^64 - 1 those of seed 0
+    seeds = (0, 2**63, 2**63 + 1, MAX_SEED)
     first = {seed: derived_rng(seed, 0, 0).standard_normal(4).tobytes()
-             for seed in (0, 2**63, 2**63 + 1, MAX_SEED)}
+             for seed in seeds}
     assert len(set(first.values())) == 4
+    for seed in seeds:
+        out = fill_normals(np.empty((1, 4)), seed, 0, range(1))
+        assert out.tobytes() == first[seed]
 
 
 @pytest.mark.parametrize("indices", [
@@ -99,16 +118,28 @@ def test_seeds_above_2_63_keep_distinct_streams():
 ])
 def test_out_of_range_index_range_rejected_up_front(indices):
     with pytest.raises(ValueError, match="index"):
-        item_rngs(0, 0, indices)
+        check_range(0, 0, indices)
+    with pytest.raises(ValueError, match="index"):
+        fill_normals(np.empty((0, 2)), 0, 0, indices)
 
 
 def test_full_index_range_accepted():
-    rngs = item_rngs(0, 0, range(2**56))
-    assert np.array_equal(next(rngs).standard_normal(2),
-                          derived_rng(0, 0, 0).standard_normal(2))
+    check_range(0, 0, range(2**56))
+    ends = range(0, 2**56, MAX_INDEX)
+    assert fill_normals(np.empty((2, 2)), 0, 0, ends).tobytes() == \
+        reference((2,), 0, 0, ends).tobytes()
 
 
-# fill_short_normals: the first Philox block of each item, drawn in numpy
+def test_fill_normals_checks_rows():
+    with pytest.raises(ValueError, match="rows"):
+        fill_normals(np.empty((3, 2)), 0, 0, range(4))
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        fill_normals(np.empty((4, 2))[::2], 0, 0, range(2))
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        fill_normals(np.empty((2, 8), dtype=np.float32), 0, 0, range(2))
+
+
+# the kernel: the first Philox block of each item, drawn in numpy
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(seed=st.one_of(st.sampled_from([0, 2**63, MAX_SEED]),
@@ -123,47 +154,26 @@ def test_philox_kernel_matches_random_raw(seed, words):
         assert np.array_equal(column, np.random.Philox(key=key).random_raw(4))
 
 
-def short_reference(shape, seed, stream, indices):
-    return fill_normals(np.empty(shape), item_rngs(seed, stream, indices))
-
-
-@pytest.mark.parametrize("row_shape", [(1,), (2,), (3,), (4,), (2, 2)])
-@pytest.mark.parametrize("seed,stream,indices", [
-    (0, 0, range(3000)),
-    (2**63, 0, range(MAX_INDEX - 1999, MAX_INDEX + 1)),
-    (MAX_SEED, 255, range(MAX_INDEX - 1999, MAX_INDEX + 1)),
-    (2**63 + 12345, 255, range(MAX_INDEX, -1, -(MAX_INDEX // 1999))),
-    (MAX_SEED, 3, range(MAX_INDEX, MAX_INDEX + 1)),
-    (9, 1, range(7, 10**30, 10**30)),     # one index, stop beyond int64
-    (5, 0, range(0)),
-])
-def test_fill_short_normals_matches_fill_normals(row_shape, seed, stream,
-                                                 indices):
-    shape = (len(indices),) + row_shape
-    out = fill_short_normals(np.empty(shape), seed, stream, indices)
-    assert out.tobytes() == short_reference(shape, seed, stream,
-                                            indices).tobytes()
-
-
 def record_fallback_rows(monkeypatch) -> list:
-    """Indices that fill_short_normals redraws through the per-item route."""
+    """Indices that the kernel redraws through the per-item loop."""
     redrawn = []
-    rekeyed = rng_module._rekeyed
+    per_item = rng_module._per_item
 
-    def recording(seed, word, indices):
-        return rekeyed(seed, word, (redrawn.append(i) or i for i in indices))
-    monkeypatch.setattr(rng_module, "_rekeyed", recording)
+    def recording(rows, seed, word, indices):
+        redrawn.extend(indices)
+        per_item(rows, seed, word, indices)
+    monkeypatch.setattr(rng_module, "_per_item", recording)
     return redrawn
 
 
 def test_every_row_falls_back_without_a_fast_path(monkeypatch):
     indices = range(2**40, 2**40 + 500)
-    expected = short_reference((500, 2), MAX_SEED, 7, indices)
+    expected = reference((2,), MAX_SEED, 7, indices)
     wi, ki = rng_module._ziggurat_tables()
     monkeypatch.setattr(rng_module, "_ziggurat_tables",
                         lambda: (wi, np.zeros_like(ki)))
     redrawn = record_fallback_rows(monkeypatch)
-    out = fill_short_normals(np.empty((500, 2)), MAX_SEED, 7, indices)
+    out = fill_normals(np.empty((500, 2)), MAX_SEED, 7, indices)
     assert redrawn == list(indices)
     assert out.tobytes() == expected.tobytes()
 
@@ -171,35 +181,20 @@ def test_every_row_falls_back_without_a_fast_path(monkeypatch):
 def test_fast_path_takes_most_rows_of_two(monkeypatch):
     # an emptied or stale table still draws the right bits, only slower
     redrawn = record_fallback_rows(monkeypatch)
-    fill_short_normals(np.empty((20000, 2)), 11, 0, range(20000))
+    fill_normals(np.empty((20000, 2)), 11, 0, range(20000))
     assert 0 < len(redrawn) <= 0.05 * 20000
 
 
-@pytest.mark.parametrize("shape", [(3, 5), (3, 2, 3)])
-def test_fill_short_normals_refuses_rows_beyond_one_block(shape):
-    with pytest.raises(ValueError, match="at most 4"):
-        fill_short_normals(np.empty(shape), 0, 0, range(3))
-
-
-def test_fill_short_normals_checks_rows_and_range():
-    with pytest.raises(ValueError, match="rows"):
-        fill_short_normals(np.empty((3, 2)), 0, 0, range(4))
-    with pytest.raises(ValueError, match="C-contiguous float64"):
-        fill_short_normals(np.empty((4, 2))[::2], 0, 0, range(2))
-    with pytest.raises(ValueError, match="index"):
-        fill_short_normals(np.empty((2, 2)), 0, 0, range(MAX_INDEX, 2**56 + 1))
-    with pytest.raises(TypeError, match="range"):
-        fill_short_normals(np.empty((2, 2)), 0, 0, [0, 1])
-
-
-@pytest.mark.parametrize("width", [1, 4])
-def test_fill_short_normals_temporaries_fit_short_row_words(width):
-    out = np.empty((4096, width))
-    fill_short_normals(out, 1, 0, range(4096))    # tables built outside
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_temporaries_fit_16_words_per_kernel_row(width):
+    # a kernel pass holds at most 16 8-byte words per row, whatever the
+    # number of rows drawn
+    shape = (20000, width)
+    fill_normals(np.empty((1, width)), 1, 0, range(1))  # builds the tables
     tracemalloc.start()
     try:
-        fill_short_normals(out, 2, 0, range(4096))
+        out = fill_normals(np.empty(shape), 2, 0, range(shape[0]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * SHORT_ROW_WORDS * len(out)
+    assert peak <= out.nbytes + 8 * 16 * rng_module._KERNEL_ROWS
