@@ -22,7 +22,6 @@ written, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -31,7 +30,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import channel, kraus, rng, spinbath, symmetry
-from .kraus import CompletePositivityError, _matrix_to_pairs
+from .kraus import CompletePositivityError
 
 __all__ = ["main", "build_parser"]
 
@@ -40,6 +39,7 @@ EXIT_USAGE = 2
 EXIT_FILE = 3
 EXIT_NUMERICAL = 4
 
+KRAUS_SET_SCHEMA = "bellsym/kraus-set/v1"
 OPTIMIZE_REPORT_SCHEMA = "bellsym/optimize-report/v1"
 MONTECARLO_REPORT_SCHEMA = "bellsym/montecarlo-report/v1"
 
@@ -118,6 +118,12 @@ def _write_json(path: str | None, doc: dict) -> None:
     _emit(path, text + "\n")
 
 
+def _matrix_to_pairs(matrix) -> list[list[float]]:
+    """A complex matrix as its row-major list of [re, im] pairs."""
+    flat = np.asarray(matrix, dtype=np.complex128).reshape(-1)
+    return [[float(z.real), float(z.imag)] for z in flat]
+
+
 _STATE_HEADER = tuple(f"rho{i}{j}_{part}" for i in range(1, 5)
                       for j in range(1, 5) for part in ("re", "im"))
 
@@ -151,12 +157,17 @@ def _cmd_evolve(args) -> None:
 
 def _cmd_kraus(args) -> None:
     if args.method == "canonical":
-        kset = kraus.canonical_kraus(args.gamma)
+        kset, label = kraus.canonical_kraus(args.gamma), "canonical"
     else:
         choi = kraus.choi_from_factors(args.gamma, args.gamma)
-        kset = dataclasses.replace(kraus.kraus_from_choi(choi),
-                                   gamma=float(args.gamma))
-    _write_json(args.output, kraus.kraus_set_to_dict(kset))
+        kset, label = kraus.kraus_from_choi(choi), "choi-extracted"
+    doc = {
+        "schema": KRAUS_SET_SCHEMA,
+        "label": label,
+        "gamma": args.gamma,
+        "operators": [_matrix_to_pairs(k) for k in kset.operators],
+    }
+    _write_json(args.output, doc)
 
 
 def _cmd_symmetry_scan(args) -> None:
@@ -210,7 +221,26 @@ def _cmd_optimize(args) -> None:
     _write_json(args.output, doc)
 
 
+def _bath_spin(k: int, spin) -> tuple[complex, complex, float]:
+    """alpha, beta and omega of entry ``k`` of a bath file's ``spins``."""
+    alpha, beta, omega = (spin.get(key) if isinstance(spin, dict) else None
+                          for key in ("alpha", "beta", "omega"))
+    # a JSON number is an int or a float; a bool or a string is not one
+    if not (isinstance(alpha, list) and isinstance(beta, list)
+            and len(alpha) == len(beta) == 2
+            and all(type(x) in (int, float) for x in (*alpha, *beta, omega))):
+        raise ValueError(f"spin {k}: 'alpha' and 'beta' must each be two "
+                         "numbers and 'omega' one number")
+    try:
+        return complex(*alpha), complex(*beta), float(omega)
+    except OverflowError as exc:            # an int beyond the float range
+        raise ValueError(f"spin {k}: {exc}") from exc
+
+
 def _load_bath_file(path: str) -> spinbath.BathSpec:
+    """The bath of a JSON file as ``schemas/bath_spec.v1.schema.json``
+    describes it; a ``label`` is optional and not read. Any fault of the
+    file raises FileError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -220,9 +250,20 @@ def _load_bath_file(path: str) -> spinbath.BathSpec:
         raise FileError(
             f"bath file {path!r} is not valid JSON: {exc.msg} "
             f"(line {exc.lineno}, column {exc.colno})") from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an int of too many digits, or nested too deeply
+        raise FileError(f"bath file {path!r} is not valid JSON: {exc}") \
+            from exc
+    spins = doc.get("spins") if isinstance(doc, dict) else None
     try:
-        return spinbath.BathSpec.from_json_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(spins, list) or not spins:
+            raise ValueError("'spins' must be a non-empty list")
+        alphas, betas, omegas = zip(*(_bath_spin(k, spin)
+                                      for k, spin in enumerate(spins)))
+        return spinbath.BathSpec(alphas=np.array(alphas),
+                                 betas=np.array(betas),
+                                 omegas=np.array(omegas))
+    except ValueError as exc:
         raise FileError(f"bath file {path!r} is malformed: {exc}") from exc
 
 

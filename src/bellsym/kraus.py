@@ -43,14 +43,11 @@ __all__ = [
     "kraus_from_choi",
     "mix_kraus",
     "channels_equal",
-    "kraus_set_to_dict",
-    "kraus_set_from_dict",
 ]
 
 COMPLETENESS_TOL = 1e-10
 CHOI_EIG_CUTOFF = 1e-12     # Choi eigenvalues at or below this are noise
 CP_TOL = 1e-9               # a Choi eigenvalue below -CP_TOL is not CP
-KRAUS_SET_SCHEMA = "bellsym/kraus-set/v1"
 
 
 class CompletePositivityError(ArithmeticError):
@@ -116,14 +113,11 @@ def completeness_residual(operators: Sequence[np.ndarray]) -> float:
 class KrausSet:
     """A read-only stack (k, 4, 4) of Kraus operators satisfying completeness.
 
-    ``gamma`` records the dephasing parameter of the channel the set
-    represents when known (None for sets extracted from an arbitrary Choi
-    matrix).
+    The set holds its operators only; the JSON document of ``bellsym
+    kraus`` is written by :mod:`bellsym.cli`.
     """
 
     operators: np.ndarray
-    label: str = "custom"
-    gamma: float | None = None
 
     def __post_init__(self):
         ops = _operators_of(self.operators)
@@ -147,7 +141,7 @@ def canonical_kraus(gamma: float) -> KrausSet:
     factors = KrausFactors.from_gamma(gamma)
     ops = np.zeros((4, 4, 4), dtype=np.complex128)
     ops[:, range(4), range(4)] = factors.diagonals()
-    return KrausSet(operators=ops, label="canonical", gamma=factors.gamma)
+    return KrausSet(operators=ops)
 
 
 def apply_kraus(kraus: Union[KrausSet, Sequence[np.ndarray]], rho) -> np.ndarray:
@@ -200,8 +194,7 @@ def kraus_from_choi(choi) -> KrausSet:
             "the map is not completely positive")
     keep = vals > CHOI_EIG_CUTOFF
     unstacked = vecs.T[keep].reshape(-1, 4, 4).transpose(0, 2, 1)
-    return KrausSet(operators=np.sqrt(vals[keep])[:, None, None] * unstacked,
-                    label="choi-extracted")
+    return KrausSet(operators=np.sqrt(vals[keep])[:, None, None] * unstacked)
 
 
 def _mixer_stack(mixer) -> np.ndarray:
@@ -227,7 +220,7 @@ def mix_kraus(kraus: KrausSet, mixer) -> KrausSet:
         raise ValueError(f"mixing requires exactly 4 operators, got {len(kraus)}")
     (mixer,) = _mixer_stack(linalg.as_square_matrix(mixer, "mixer"))
     mixed = np.einsum("ij,jkl->ikl", mixer, kraus.operators)
-    return KrausSet(operators=mixed, label="mixed", gamma=kraus.gamma)
+    return KrausSet(operators=mixed)
 
 
 def channels_equal(a: Union[KrausSet, Sequence[np.ndarray]],
@@ -236,34 +229,3 @@ def channels_equal(a: Union[KrausSet, Sequence[np.ndarray]],
     """True iff the two sets induce the same channel (Choi matrices agree entrywise)."""
     return linalg.max_abs(choi_of_kraus(a) - choi_of_kraus(b)) <= tol
 
-
-def _matrix_to_pairs(k: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(k, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
-
-
-def _matrix_from_pairs(pairs) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    if flat.size != 16:
-        raise ValueError(f"expected 16 entries, got {flat.size}")
-    return flat.reshape(4, 4)
-
-
-def kraus_set_to_dict(kraus: KrausSet) -> dict:
-    """JSON-ready document; operators are row-major lists of [re, im] pairs."""
-    return {
-        "schema": KRAUS_SET_SCHEMA,
-        "label": kraus.label,
-        "gamma": kraus.gamma,
-        "operators": [_matrix_to_pairs(k) for k in kraus.operators],
-    }
-
-
-def kraus_set_from_dict(doc: dict) -> KrausSet:
-    ops = np.array([_matrix_from_pairs(p) for p in doc["operators"]])
-    gamma = doc.get("gamma")
-    return KrausSet(
-        operators=ops,
-        label=str(doc.get("label", "custom")),
-        gamma=None if gamma is None else float(gamma),
-    )

@@ -38,8 +38,6 @@ __all__ = [
     "random_bath",
 ]
 
-BATH_SPEC_SCHEMA = "bellsym/bath-spec/v1"
-
 # qubit bit value (0 = up, 1 = down) per product-basis index
 _BIT_1 = np.array([0, 0, 1, 1])
 _BIT_2 = np.array([0, 1, 0, 1])
@@ -47,12 +45,15 @@ _BIT_2 = np.array([0, 1, 0, 1])
 
 @dataclass(frozen=True)
 class BathSpec:
-    """Per-spin amplitudes and coupling frequencies of one bath."""
+    """Per-spin amplitudes and coupling frequencies of one bath.
+
+    The spec holds the physics only; ``bellsym spinbath --bath-file``
+    reads a bath from JSON in :mod:`bellsym.cli`.
+    """
 
     alphas: np.ndarray
     betas: np.ndarray
     omegas: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         alphas = np.asarray(self.alphas, dtype=np.complex128)
@@ -81,37 +82,6 @@ class BathSpec:
     @property
     def n_spins(self) -> int:
         return self.alphas.size
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "spins": [
-                {
-                    "alpha": [float(a.real), float(a.imag)],
-                    "beta": [float(b.real), float(b.imag)],
-                    "omega": float(w),
-                }
-                for a, b, w in zip(self.alphas, self.betas, self.omegas)
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "BathSpec":
-        spins = doc["spins"]
-        if not isinstance(spins, list) or not spins:
-            raise ValueError("'spins' must be a non-empty list")
-        alphas, betas, omegas = [], [], []
-        for k, spin in enumerate(spins):
-            try:
-                alphas.append(complex(spin["alpha"][0], spin["alpha"][1]))
-                betas.append(complex(spin["beta"][0], spin["beta"][1]))
-                omegas.append(float(spin["omega"]))
-            except (KeyError, TypeError, IndexError) as exc:
-                raise ValueError(f"spin {k}: malformed entry ({exc!r})") from exc
-        return cls(
-            alphas=np.array(alphas), betas=np.array(betas),
-            omegas=np.array(omegas), label=str(doc.get("label", "")),
-        )
 
 
 def validate_central_state(psi) -> np.ndarray:
@@ -221,4 +191,4 @@ def random_bath(
         phase_b = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n_spins))
         alphas = np.sqrt(weights) * phase_a
         betas = np.sqrt(1.0 - weights) * phase_b
-    return BathSpec(alphas=alphas, betas=betas, omegas=omegas, label="random")
+    return BathSpec(alphas=alphas, betas=betas, omegas=omegas)

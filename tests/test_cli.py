@@ -99,26 +99,44 @@ class TestEvolve:
         assert f1.read_bytes() == f2.read_bytes()
 
 
+def kraus_document(tmp_path, gamma: float, method: str) -> dict:
+    """The document ``bellsym kraus`` writes for ``gamma`` and ``method``."""
+    out = tmp_path / "kraus.json"
+    assert main(["kraus", f"--gamma={gamma!r}", "--method", method,
+                 "-o", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def operators_of(doc: dict) -> np.ndarray:
+    """The (k, 4, 4) stack a Kraus document's [re, im] pairs describe."""
+    pairs = np.array(doc["operators"], dtype=float)
+    return pairs.view(np.complex128).reshape(-1, 4, 4)
+
+
+def library_operators(gamma: float, method: str) -> np.ndarray:
+    """The operators of the set ``bellsym kraus --method`` writes."""
+    if method == "canonical":
+        return kraus.canonical_kraus(gamma).operators
+    choi = kraus.choi_from_factors(gamma, gamma)
+    return kraus.kraus_from_choi(choi).operators
+
+
 class TestKrausCommand:
     def test_canonical_document(self, tmp_path):
-        out = tmp_path / "kraus.json"
-        assert main(["kraus", "--gamma", "0.5", "-o", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = kraus_document(tmp_path, 0.5, "canonical")
         assert_valid_for_schema(doc, "kraus_set")
-        kset = kraus.kraus_set_from_dict(doc)
-        assert kset.gamma == 0.5
-        for a, b in zip(kset.operators, kraus.canonical_kraus(0.5).operators):
-            assert np.array_equal(a, b)
+        assert list(doc) == ["schema", "label", "gamma", "operators"]
+        assert doc["label"] == "canonical" and doc["gamma"] == 0.5
+        assert operators_of(doc).tobytes() == \
+            library_operators(0.5, "canonical").tobytes()
 
     def test_choi_method_is_channel_equivalent(self, tmp_path):
-        out = tmp_path / "kraus.json"
-        assert main(["kraus", "--gamma", "0.3", "--method", "choi",
-                     "-o", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = kraus_document(tmp_path, 0.3, "choi")
         assert_valid_for_schema(doc, "kraus_set")
-        kset = kraus.kraus_set_from_dict(doc)
-        assert kset.label == "choi-extracted" and kset.gamma == 0.3
-        assert kraus.channels_equal(kset, kraus.canonical_kraus(0.3), 1e-9)
+        assert doc["label"] == "choi-extracted" and doc["gamma"] == 0.3
+        ops = operators_of(doc)
+        assert ops.tobytes() == library_operators(0.3, "choi").tobytes()
+        assert kraus.channels_equal(ops, kraus.canonical_kraus(0.3), 1e-9)
 
     def test_gamma_out_of_range_is_usage_error(self):
         assert main(["kraus", "--gamma", "1.5"]) == 2
@@ -130,6 +148,19 @@ class TestKrausCommand:
         code = main(["kraus", "--gamma", "0.5", "--method", "choi",
                      "-o", str(tmp_path / "x.json")])
         assert code == 4
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(gamma=st.floats(0.0, 1.0),
+       method=st.sampled_from(["canonical", "choi"]))
+def test_kraus_document_round_trips_bitwise(gamma, method):
+    # the only Kraus sets a file ever holds are the two methods' sets
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = kraus_document(Path(tmp), gamma, method)
+    assert_valid_for_schema(doc, "kraus_set")
+    assert doc["gamma"] == gamma
+    assert operators_of(doc).tobytes() == \
+        library_operators(gamma, method).tobytes()
 
 
 class TestSymmetryScanCommand:
@@ -215,6 +246,33 @@ class TestOptimizeCommand:
         assert not out.exists()
 
 
+AMP = 1.0 / math.sqrt(2.0)
+GOOD_SPIN = {"alpha": [AMP, 0.0], "beta": [AMP, 0.0], "omega": 1.0}
+
+# Bath files that json.load itself refuses: not UTF-8, nested beyond the
+# recursion limit, an int of more digits than Python converts.
+UNREADABLE_BATH_FILES = [
+    b'\xff\xfe{"spins": []}',
+    b"[" * 200000,
+    b'{"spins": [{"alpha": [1, 0], "beta": [0, 0], "omega": 1'
+    + b"0" * 5000 + b"}]}",
+]
+# A bath file whose omega is an int beyond the float range.
+HUGE_OMEGA_BATH_FILE = json.dumps(
+    {"spins": [{**GOOD_SPIN, "omega": 10**400}]}).encode()
+
+
+def run_spinbath_on(tmp_path, content: bytes) -> tuple[int, Path]:
+    """``spinbath --bath-file`` on a file holding ``content``: the exit
+    code and the path of the ``-o`` table."""
+    bath_file = tmp_path / "bath.json"
+    bath_file.write_bytes(content)
+    out = tmp_path / "sb.csv"
+    code = main(["spinbath", "--bath-file", str(bath_file), "--t-max", "1",
+                 "--n-points", "2", "-o", str(out)])
+    return code, out
+
+
 class TestSpinbathCommand:
     def test_single_spin_cosine_column(self, tmp_path):
         bath_file = tmp_path / "bath.json"
@@ -293,6 +351,49 @@ class TestSpinbathCommand:
                      "--t-max", "1.0", "-o", str(out)])
         assert code == 3
         assert "spin 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", UNREADABLE_BATH_FILES
+                             + [HUGE_OMEGA_BATH_FILE],
+                             ids=["not-utf8", "nested-200000",
+                                  "int-of-5000-digits", "omega-10**400"])
+    def test_unreadable_bath_file_exit_3(self, tmp_path, capsys, content):
+        code, out = run_spinbath_on(tmp_path, content)
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: bath file")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spin", [
+        {"alpha": [1.0]},
+        {**GOOD_SPIN, "alpha": [float("nan"), 0.0]},
+        {**GOOD_SPIN, "alpha": [AMP, 0.0, 9.0]},
+        {**GOOD_SPIN, "beta": AMP},
+        {**GOOD_SPIN, "omega": [1.0]},
+        {**GOOD_SPIN, "omega": True},
+        {**GOOD_SPIN, "alpha": [True, False]},
+        {**GOOD_SPIN, "beta": ["0.5", 0.0]},
+        {**GOOD_SPIN, "omega": "0.5"},
+        {**GOOD_SPIN, "omega": None},
+        {**GOOD_SPIN, "omega": 10**400},
+        [AMP, AMP, 1.0],
+    ])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_bath_spin_that_is_not_the_schema_exit_3(self, tmp_path, capsys,
+                                                      spin, k):
+        # alpha and beta are two JSON numbers each, omega is one
+        spins = [GOOD_SPIN, spin] if k else [spin, GOOD_SPIN]
+        code, out = run_spinbath_on(
+            tmp_path, json.dumps({"spins": spins}).encode())
+        assert code == 3
+        assert f"spin {k}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [[], {}, {"spins": []}, {"spins": {}},
+                                     {"spins": "x"}, "spins", 1, None])
+    def test_bath_file_without_spins_exit_3(self, tmp_path, capsys, doc):
+        code, out = run_spinbath_on(tmp_path, json.dumps(doc).encode())
+        assert code == 3
+        assert "'spins' must be a non-empty list" in capsys.readouterr().err
         assert not out.exists()
 
     def test_overflowing_phase_is_numerical_failure(self, tmp_path, capsys):
@@ -583,6 +684,42 @@ def test_fuzzed_argv_ends_in_a_documented_exit_code(argv):
         if code == 0:
             assert not _NON_FINITE_TOKEN.search(out.read_text())
         else:
+            assert not out.exists()
+
+
+# Any JSON value, with the numbers a bath file may get wrong: bools, strings,
+# NaN, infinities and ints beyond the float range.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400)
+    | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["spins", "alpha", "beta", "omega",
+                                       "label", "x"]), inner, max_size=4),
+    max_leaves=20)
+# Bath-shaped documents, valid ones among them, whose entries may be any
+# JSON value, so that the per-spin checks and the bath itself are reached.
+_AMPLITUDES = (st.sampled_from([[AMP, 0.0], [0.0, -AMP], [1, 0], [0, 0]])
+               | st.lists(st.floats() | st.integers(), min_size=2,
+                          max_size=2) | JSON_VALUES)
+_OMEGAS = st.floats() | st.integers() | JSON_VALUES
+BATH_DOCS = st.fixed_dictionaries({"spins": st.lists(
+    st.fixed_dictionaries({"alpha": _AMPLITUDES, "beta": _AMPLITUDES,
+                           "omega": _OMEGAS}) | JSON_VALUES,
+    min_size=1, max_size=3)}, optional={"label": JSON_VALUES})
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(content=st.binary(max_size=64)
+       | JSON_VALUES.map(lambda v: json.dumps(v).encode())
+       | BATH_DOCS.map(lambda v: json.dumps(v).encode()))
+@example(content=UNREADABLE_BATH_FILES[0])
+@example(content=UNREADABLE_BATH_FILES[1])
+@example(content=HUGE_OMEGA_BATH_FILE)
+def test_any_bath_file_ends_in_a_documented_exit_code(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = run_spinbath_on(Path(tmp), content)
+        assert code in (0, 2, 3, 4)
+        if code != 0:
             assert not out.exists()
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -19,13 +18,11 @@ from bellsym.kraus import (
     choi_of_kraus,
     completeness_residual,
     kraus_from_choi,
-    kraus_set_from_dict,
-    kraus_set_to_dict,
     mix_kraus,
 )
 from bellsym.symmetry import BellState, haar_unitary
 
-from conftest import assert_valid_for_schema, random_density_matrix
+from conftest import random_density_matrix
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -87,10 +84,6 @@ class TestCanonicalSet:
     def test_completeness_on_grid(self, gamma):
         assert canonical_kraus(gamma).completeness_residual() <= 1e-10
 
-    def test_label_and_gamma(self):
-        kset = canonical_kraus(0.3)
-        assert kset.label == "canonical" and kset.gamma == 0.3
-
 
 class TestKrausSetValidation:
     def test_incomplete_set_rejected(self):
@@ -115,6 +108,13 @@ class TestKrausSetValidation:
         kset = canonical_kraus(0.5)
         with pytest.raises(ValueError):
             kset.operators[0][0, 0] = 1.0
+
+    def test_replace_keeps_validation(self):
+        kset = canonical_kraus(0.5)
+        reordered = dataclasses.replace(kset, operators=kset.operators[::-1])
+        assert reordered.completeness_residual() <= 1e-10
+        with pytest.raises(ValueError, match="completeness"):
+            dataclasses.replace(kset, operators=kset.operators[:1])
 
 
 class TestApplyKraus:
@@ -190,7 +190,6 @@ class TestKrausFromChoi:
     def test_reconstructs_channel_at_half(self, rng):
         kset = kraus_from_choi(choi_from_factors(0.5, 0.5))
         assert len(kset) == 4
-        assert kset.label == "choi-extracted"
         for _ in range(100):
             rho = random_density_matrix(rng)
             expected = dephase_with_factors(rho, 0.5, 0.5)
@@ -236,7 +235,6 @@ class TestMixKraus:
         mixed = mix_kraus(kset, np.eye(4))
         for a, b in zip(mixed.operators, kset.operators):
             assert np.allclose(a, b, atol=1e-15)
-        assert mixed.gamma == kset.gamma
 
     def test_permutation_mixer_reorders(self):
         kset = canonical_kraus(0.3)
@@ -270,7 +268,7 @@ class TestMixKraus:
             mix_kraus(kset, np.stack([np.eye(4), np.eye(4)]))
 
     def test_wrong_set_size_rejected(self):
-        single = KrausSet(operators=(np.eye(4),), label="unitary-channel")
+        single = KrausSet(operators=(np.eye(4),))
         with pytest.raises(ValueError, match="exactly 4"):
             mix_kraus(single, np.eye(4))
 
@@ -289,26 +287,6 @@ class TestChannelsEqual:
         # single-factor Choi entries differ by exactly 0.1
         assert not channels_equal(canonical_kraus(0.5), canonical_kraus(0.6),
                                   1e-6)
-
-
-class TestSerialization:
-    def test_document_validates_against_schema(self, rng):
-        doc = kraus_set_to_dict(canonical_kraus(0.25))
-        assert_valid_for_schema(doc, "kraus_set")
-        extracted = kraus_from_choi(choi_from_factors(0.7, 0.7))
-        assert_valid_for_schema(kraus_set_to_dict(extracted), "kraus_set")
-
-    def test_gamma_none_round_trips(self):
-        kset = kraus_from_choi(choi_from_factors(0.7, 0.7))
-        assert kset.gamma is None
-        doc = kraus_set_to_dict(kset)
-        assert doc["gamma"] is None
-        assert kraus_set_from_dict(doc).gamma is None
-
-    def test_replace_keeps_validation(self):
-        kset = canonical_kraus(0.5)
-        renamed = dataclasses.replace(kset, label="renamed")
-        assert renamed.completeness_residual() <= 1e-10
 
 
 def _haar(seed: int) -> np.ndarray:
@@ -342,15 +320,6 @@ def test_remixing_keeps_the_choi_matrix(kset, seed):
     mixed = mix_kraus(kset, _haar(seed))
     assert mixed.completeness_residual() <= 1e-10
     assert np.max(np.abs(choi_of_kraus(mixed) - choi_of_kraus(kset))) <= 1e-10
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(kset=kraus_sets)
-def test_serialization_round_trips_bitwise(kset):
-    back = kraus_set_from_dict(json.loads(json.dumps(kraus_set_to_dict(kset))))
-    assert back.label == kset.label and back.gamma == kset.gamma
-    assert back.operators.shape == kset.operators.shape
-    assert back.operators.tobytes() == kset.operators.tobytes()
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

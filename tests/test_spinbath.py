@@ -15,7 +15,7 @@ from bellsym.spinbath import (
 )
 from bellsym.symmetry import BellState, symmetric_probability, haar_unitary
 
-from conftest import assert_valid_for_schema, random_state_vector
+from conftest import random_state_vector
 
 
 def single_spin_bath(omega=1.0):
@@ -24,7 +24,6 @@ def single_spin_bath(omega=1.0):
         alphas=np.array([amp], dtype=complex),
         betas=np.array([amp], dtype=complex),
         omegas=np.array([omega]),
-        label="single",
     )
 
 
@@ -40,11 +39,6 @@ class TestBathSpec:
         with pytest.raises(ValueError, match="spin 1"):
             BathSpec(alphas=np.array([amp, np.nan]), betas=np.array([amp, amp]),
                      omegas=np.array([0.5, 0.5]))
-        doc = {"spins": [{"alpha": [amp, 0.0], "beta": [amp, 0.0], "omega": 1.0},
-                         {"alpha": [float("nan"), 0.0], "beta": [amp, 0.0],
-                          "omega": 1.0}]}
-        with pytest.raises(ValueError, match="spin 1"):
-            BathSpec.from_json_dict(doc)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -56,21 +50,6 @@ class TestBathSpec:
         with pytest.raises(ValueError, match="finite"):
             BathSpec(alphas=np.array([amp + 0j]), betas=np.array([amp + 0j]),
                      omegas=np.array([np.inf]))
-
-    def test_json_round_trip(self):
-        bath = random_bath(7, seed=13, equal_amplitudes=False)
-        doc = bath.to_json_dict()
-        assert_valid_for_schema(doc, "bath_spec")
-        back = BathSpec.from_json_dict(doc)
-        assert np.array_equal(back.alphas, bath.alphas)
-        assert np.array_equal(back.betas, bath.betas)
-        assert np.array_equal(back.omegas, bath.omegas)
-        assert back.label == bath.label
-
-    def test_from_json_rejects_malformed_spin(self):
-        with pytest.raises(ValueError, match="spin 0"):
-            BathSpec.from_json_dict({"label": "x",
-                                     "spins": [{"alpha": [1.0]}]})
 
 
 class TestDecoherenceFactor:
@@ -103,7 +82,7 @@ class TestDecoherenceFactor:
         bath = random_bath(15, seed=42, equal_amplitudes=False)
         perm = rng.permutation(15)
         shuffled = BathSpec(alphas=bath.alphas[perm], betas=bath.betas[perm],
-                            omegas=bath.omegas[perm], label=bath.label)
+                            omegas=bath.omegas[perm])
         for t in (0.3, 1.7, 9.2):
             assert abs(decoherence_factor(bath, t)
                        - decoherence_factor(shuffled, t)) <= 1e-13
