@@ -156,6 +156,7 @@ def _cmd_evolve(args) -> None:
 
 
 def _cmd_kraus(args) -> None:
+    kraus.KrausFactors.from_gamma(args.gamma)   # both methods need [0, 1]
     if args.method == "canonical":
         kset, label = kraus.canonical_kraus(args.gamma), "canonical"
     else:
@@ -223,8 +224,11 @@ def _cmd_optimize(args) -> None:
 
 def _bath_spin(k: int, spin) -> tuple[complex, complex, float]:
     """alpha, beta and omega of entry ``k`` of a bath file's ``spins``."""
-    alpha, beta, omega = (spin.get(key) if isinstance(spin, dict) else None
-                          for key in ("alpha", "beta", "omega"))
+    spin = spin if isinstance(spin, dict) else {}
+    unknown = sorted(spin.keys() - {"alpha", "beta", "omega"})
+    if unknown:
+        raise ValueError(f"spin {k}: unknown key {unknown[0]!r}")
+    alpha, beta, omega = (spin.get(key) for key in ("alpha", "beta", "omega"))
     # a JSON number is an int or a float; a bool or a string is not one
     if not (isinstance(alpha, list) and isinstance(beta, list)
             and len(alpha) == len(beta) == 2
@@ -239,8 +243,8 @@ def _bath_spin(k: int, spin) -> tuple[complex, complex, float]:
 
 def _load_bath_file(path: str) -> spinbath.BathSpec:
     """The bath of a JSON file as ``schemas/bath_spec.v1.schema.json``
-    describes it; a ``label`` is optional and not read. Any fault of the
-    file raises FileError."""
+    describes it; a ``label`` is optional and not read, and any other key
+    is refused. Any fault of the file raises FileError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -258,6 +262,9 @@ def _load_bath_file(path: str) -> spinbath.BathSpec:
     try:
         if not isinstance(spins, list) or not spins:
             raise ValueError("'spins' must be a non-empty list")
+        unknown = sorted(doc.keys() - {"label", "spins"})
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
         alphas, betas, omegas = zip(*(_bath_spin(k, spin)
                                       for k, spin in enumerate(spins)))
         return spinbath.BathSpec(alphas=np.array(alphas),

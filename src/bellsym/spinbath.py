@@ -64,9 +64,13 @@ class BathSpec:
                              "equal length")
         if alphas.size < 1:
             raise ValueError("a bath needs at least one spin")
-        if not np.all(np.isfinite(omegas)):
-            raise ValueError("omegas must be finite")
-        norms = np.abs(alphas) ** 2 + np.abs(betas) ** 2
+        bad = int(np.argmin(np.isfinite(omegas)))
+        if not np.isfinite(omegas[bad]):
+            raise ValueError(f"spin {bad}: omega = {float(omegas[bad])!r} "
+                             "must be finite")
+        # a huge amplitude squares to inf, which fails the check below
+        with np.errstate(over="ignore"):
+            norms = np.abs(alphas) ** 2 + np.abs(betas) ** 2
         worst = int(np.argmax(np.abs(norms - 1.0)))
         # written so that a NaN norm, which argmax picks, fails too
         if not abs(norms[worst] - 1.0) <= 1e-12:

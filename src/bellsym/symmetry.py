@@ -26,20 +26,20 @@ landing in a symmetric outcome:
   on the single unconstrained row.
 
 Both a Haar-random sampler (oracle) and a constrained maximizer over the
-unitary freedom are provided; the maximizer parametrizes exactly-feasible
-unitaries (column 2 pinned to the allowed rows, remaining freedom via the
-exponential map of a Hermitian generator) so constraint violations can never
-leak probability in. Its Nelder-Mead restarts run in lockstep, each round
-evaluating the points of all restarts in one batched call.
+unitary freedom are provided. The maximizer searches a private
+parametrization of exactly-feasible unitaries (column 2 pinned to the
+allowed rows, the remaining freedom a U(3) rotation exp(i h) of a 3x3
+Hermitian generator h), so constraint violations can never leak probability
+in. Its Nelder-Mead restarts run in lockstep, each round evaluating the
+points of all restarts in one batched call.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -60,9 +60,6 @@ __all__ = [
     "symmetric_probability",
     "asymptotic_symmetric_probability",
     "haar_unitary",
-    "hermitian_from_params",
-    "expi_hermitian",
-    "feasible_unitary",
     "sample_feasible_unitary",
     "maximize_symmetric_probability",
     "brute_force_symmetry_scan",
@@ -344,39 +341,6 @@ def haar_unitary(rng: np.random.Generator) -> np.ndarray:
     return _haar_from_normals(rng.standard_normal((2, 4, 4)))
 
 
-@functools.cache
-def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(dim, 1)
-
-
-def hermitian_from_params(theta: Sequence[float], dim: int) -> np.ndarray:
-    """Hermitian matrices (..., dim, dim) from real parameters (..., dim^2):
-    the diagonal, then re/im pairs of the upper triangle row by row."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1:] != (dim * dim,):
-        raise ValueError(f"need {dim * dim} parameters, got shape "
-                         f"{theta.shape}")
-    h = np.zeros(theta.shape[:-1] + (dim, dim), dtype=np.complex128)
-    diag = np.arange(dim)
-    h[..., diag, diag] = theta[..., :dim]
-    rows, cols = _upper_indices(dim)
-    h[..., rows, cols] = theta[..., dim::2] + 1j * theta[..., dim + 1::2]
-    h[..., cols, rows] = np.conj(h[..., rows, cols])
-    return h
-
-
-def expi_hermitian(h) -> np.ndarray:
-    """exp(i h) for each Hermitian matrix of ``h`` (..., d, d), via its
-    eigendecomposition."""
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or not np.all(np.isfinite(h)):
-        raise ValueError("generator must be a finite square matrix or a "
-                         f"stack of them, got shape {h.shape}")
-    vals, vecs = np.linalg.eigh(h)
-    return ((vecs * np.exp(1j * vals)[..., None, :])
-            @ np.swapaxes(vecs.conj(), -1, -2))
-
-
 # _COMPLEMENTS[p]: the columns of the 4x4 identity other than column p
 _COMPLEMENTS = np.stack([np.eye(4, dtype=np.complex128)[:, np.arange(4) != p]
                          for p in range(4)])
@@ -394,15 +358,24 @@ def _free_indices(pattern: ConstraintPattern) -> list[int]:
     return [r - 1 for r in pattern.free_rows]
 
 
-def feasible_params_dim(pattern: ConstraintPattern) -> int:
-    """Length of the parameter vector for :func:`feasible_unitary`."""
-    return 2 * len(pattern.free_rows) + 9
+# rows and columns of the upper triangle of a 3x3 matrix, row by row
+_UPPER_3 = np.triu_indices(3, 1)
 
 
 def _feasible_from_params(pattern: ConstraintPattern,
                           x: np.ndarray) -> np.ndarray:
-    """Feasible mixers (..., 4, 4) from parameters (..., 2m + 9), m free
-    rows: see :func:`feasible_unitary`."""
+    """Exactly-feasible mixers (..., 4, 4) from real parameters
+    (..., 2m + 9), m free rows: the optimizer's parametrization.
+
+    Column 2 is a unit vector supported only on the unconstrained rows,
+    from the real and then the imaginary parts of its free entries; its
+    constrained entries are exact zeros, so feasibility cannot erode. The
+    remaining three columns are a deterministic orthonormal completion
+    rotated by exp(i h), where the 3x3 Hermitian generator h takes its
+    diagonal from the trailing 9 parameters, then re/im pairs of its upper
+    triangle row by row. Nothing is validated: the optimizer's iterates
+    are finite by construction.
+    """
     free = _free_indices(pattern)
     m = len(free)
     c_free = x[..., :m] + 1j * x[..., m:2 * m]
@@ -412,28 +385,21 @@ def _feasible_from_params(pattern: ConstraintPattern,
     c = np.zeros(x.shape[:-1] + (4,), dtype=np.complex128)
     c[..., free] = c_free / _norm(c_free)
     # the identity's columns other than c's largest entry, projected off c
-    # and orthonormalized, rotated by a U(3) element
+    # and orthonormalized
     e = _COMPLEMENTS[np.argmax(np.abs(c), axis=-1)]
     basis, _ = np.linalg.qr(e - c[..., :, None]
                             * (c.conj()[..., None, :] @ e))
-    w = basis @ expi_hermitian(hermitian_from_params(x[..., 2 * m:], 3))
+    theta = x[..., 2 * m:]
+    h = np.zeros(x.shape[:-1] + (3, 3), dtype=np.complex128)
+    h[..., range(3), range(3)] = theta[..., :3]
+    rows, cols = _UPPER_3
+    h[..., rows, cols] = theta[..., 3::2] + 1j * theta[..., 4::2]
+    h[..., cols, rows] = np.conj(h[..., rows, cols])
+    # exp(i h) through the eigendecomposition of h
+    vals, vecs = np.linalg.eigh(h)
+    w = basis @ ((vecs * np.exp(1j * vals)[..., None, :])
+                 @ np.swapaxes(vecs.conj(), -1, -2))
     return np.concatenate([w[..., :1], c[..., None], w[..., 1:]], axis=-1)
-
-
-def feasible_unitary(pattern: ConstraintPattern, params) -> np.ndarray:
-    """Exactly-feasible mixer from real parameters.
-
-    Column 2 is a unit vector supported only on the unconstrained rows (its
-    constrained entries are exact zeros, so feasibility cannot erode); the
-    remaining three columns are a deterministic orthonormal completion
-    rotated by a U(3) element from the trailing 9 parameters.
-    """
-    x = np.asarray(params, dtype=float)
-    n = feasible_params_dim(pattern)
-    if x.shape != (n,):
-        raise ValueError(f"need {n} parameters for pattern "
-                         f"{pattern.rows_sorted}, got shape {x.shape}")
-    return _feasible_from_params(pattern, x)
 
 
 def _feasible_from_normals(pattern: ConstraintPattern,
@@ -577,9 +543,10 @@ def maximize_symmetric_probability(
     Runs Nelder-Mead (:func:`minimize`) from ``N_RESTARTS`` starting points
     (one structured, the others drawn from items 1, 2, ... of the
     ``OPT_RESTART`` stream), spending roughly ``budget`` objective
-    evaluations in total. Returns the best value found, the first restart's on a tie, and the mixer attaining
-    it. The iterates are exactly feasible by construction, so the search can
-    never report probability leaked in through constraint violation.
+    evaluations in total. Returns the best value found, the first
+    restart's on a tie, and the mixer attaining it. The iterates are exactly
+    feasible by construction (:func:`_feasible_from_params`), so the search
+    can never report probability leaked in through constraint violation.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -587,12 +554,11 @@ def maximize_symmetric_probability(
     if not isinstance(pattern, ConstraintPattern):
         pattern = ConstraintPattern.from_rows(pattern)
     diagonals = KrausFactors.from_gamma(gamma).diagonals()
-    ndim = feasible_params_dim(pattern)
 
     def negative_objective(x):
         return -_symmetric(bell, diagonals, _feasible_from_params(pattern, x))
 
-    starts = np.zeros((N_RESTARTS, ndim))
+    starts = np.zeros((N_RESTARTS, 2 * len(pattern.free_rows) + 9))
     starts[0, 0] = 1.0
     fill_normals(starts[1:], seed, OPT_RESTART, range(1, N_RESTARTS))
     best_value = -np.inf
@@ -602,7 +568,7 @@ def maximize_symmetric_probability(
         if -fsim[0] > best_value:
             best_value = -fsim[0]
             best_params = sim[0]
-    return best_value, feasible_unitary(pattern, best_params)
+    return best_value, _feasible_from_params(pattern, best_params)
 
 
 @dataclass(frozen=True)

@@ -138,8 +138,23 @@ class TestKrausCommand:
         assert ops.tobytes() == library_operators(0.3, "choi").tobytes()
         assert kraus.channels_equal(ops, kraus.canonical_kraus(0.3), 1e-9)
 
-    def test_gamma_out_of_range_is_usage_error(self):
-        assert main(["kraus", "--gamma", "1.5"]) == 2
+    @pytest.mark.parametrize("gamma", ["-0.5", "1.5", "nan"])
+    @pytest.mark.parametrize("method", ["canonical", "choi"])
+    def test_gamma_out_of_range_is_usage_error(self, tmp_path, capsys,
+                                               method, gamma):
+        out = tmp_path / "kraus.json"
+        assert main(["kraus", f"--gamma={gamma}", "--method", method,
+                     "-o", str(out)]) == 2
+        assert "gamma must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gamma", [-0.5, None])
+    def test_schema_refuses_gamma_outside_unit_interval(self, tmp_path,
+                                                         gamma):
+        jsonschema = pytest.importorskip("jsonschema")
+        doc = {**kraus_document(tmp_path, 0.5, "choi"), "gamma": gamma}
+        with pytest.raises(jsonschema.ValidationError):
+            assert_valid_for_schema(doc, "kraus_set")
 
     def test_numerical_failure_maps_to_exit_4(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
@@ -260,6 +275,19 @@ UNREADABLE_BATH_FILES = [
 # A bath file whose omega is an int beyond the float range.
 HUGE_OMEGA_BATH_FILE = json.dumps(
     {"spins": [{**GOOD_SPIN, "omega": 10**400}]}).encode()
+# Spins of the schema's form whose numbers the bath refuses: an omega that
+# json reads as inf, and an amplitude whose square overflows to inf.
+OUT_OF_RANGE_SPINS = [
+    '{"alpha": [0.7071067811865476, 0], "beta": [0.7071067811865476, 0], '
+    '"omega": 1e400}',
+    '{"alpha": [0.7071067811865475, 0.0], '
+    '"beta": [0.0, 1.3407807929942597e+154], "omega": 0.0}',
+]
+
+
+def bath_file_of(spins: list[str]) -> bytes:
+    """A bath file holding the JSON texts ``spins`` as its spins."""
+    return ('{"spins": [' + ", ".join(spins) + "]}").encode()
 
 
 def run_spinbath_on(tmp_path, content: bytes) -> tuple[int, Path]:
@@ -375,6 +403,8 @@ class TestSpinbathCommand:
         {**GOOD_SPIN, "omega": "0.5"},
         {**GOOD_SPIN, "omega": None},
         {**GOOD_SPIN, "omega": 10**400},
+        {**GOOD_SPIN, "extra": 2},
+        {**GOOD_SPIN, "label": "x"},
         [AMP, AMP, 1.0],
     ])
     @pytest.mark.parametrize("k", [0, 1])
@@ -387,6 +417,34 @@ class TestSpinbathCommand:
         assert code == 3
         assert f"spin {k}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("spin", OUT_OF_RANGE_SPINS,
+                             ids=["omega-1e400", "beta-1.34e154"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_bath_spin_out_of_range_exit_3(self, tmp_path, capsys, spin, k):
+        good = json.dumps(GOOD_SPIN)
+        code, out = run_spinbath_on(
+            tmp_path, bath_file_of([good, spin] if k else [spin, good]))
+        assert code == 3
+        assert f"is malformed: spin {k}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"spins": [GOOD_SPIN], "more": 1}, "more"),
+        ({"spins": [{**GOOD_SPIN, "extra": 2}], "more": 1}, "more"),
+        ({"label": "x", "spins": [GOOD_SPIN], "schema": "v1"}, "schema"),
+    ])
+    def test_unknown_top_level_key_exit_3(self, tmp_path, capsys, doc, key):
+        code, out = run_spinbath_on(tmp_path, json.dumps(doc).encode())
+        assert code == 3
+        assert f"is malformed: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_label_is_optional(self, tmp_path):
+        doc = {"spins": [GOOD_SPIN]}
+        assert_valid_for_schema(doc, "bath_spec")
+        code, out = run_spinbath_on(tmp_path, json.dumps(doc).encode())
+        assert code == 0 and out.exists()
 
     @pytest.mark.parametrize("doc", [[], {}, {"spins": []}, {"spins": {}},
                                      {"spins": "x"}, "spins", 1, None])
@@ -715,6 +773,8 @@ BATH_DOCS = st.fixed_dictionaries({"spins": st.lists(
 @example(content=UNREADABLE_BATH_FILES[0])
 @example(content=UNREADABLE_BATH_FILES[1])
 @example(content=HUGE_OMEGA_BATH_FILE)
+@example(content=bath_file_of(OUT_OF_RANGE_SPINS[1:]))
+@example(content=bath_file_of([json.dumps(GOOD_SPIN), OUT_OF_RANGE_SPINS[0]]))
 def test_any_bath_file_ends_in_a_documented_exit_code(content):
     with tempfile.TemporaryDirectory() as tmp:
         code, out = run_spinbath_on(Path(tmp), content)

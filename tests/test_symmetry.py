@@ -20,12 +20,8 @@ from bellsym.symmetry import (
     SymmetryClass,
     asymptotic_symmetric_probability,
     brute_force_symmetry_scan,
-    expi_hermitian,
-    feasible_params_dim,
     feasible_symmetry_scan,
-    feasible_unitary,
     haar_unitary,
-    hermitian_from_params,
     is_exchange_symmetric,
     maximize_symmetric_probability,
     outcome_analysis,
@@ -36,7 +32,7 @@ from bellsym.symmetry import (
 from bellsym.rng import FEASIBLE_SCAN, HAAR_SCAN, derived_rng
 from bellsym.spinbath import decoherence_factor, identical_bath, random_bath
 
-from conftest import assert_valid_for_schema, random_hermitian
+from conftest import assert_valid_for_schema
 
 SQRT2 = math.sqrt(2.0)
 
@@ -400,46 +396,16 @@ class TestUnitaryConstructions:
         u2 = haar_unitary(derived_rng(3, HAAR_SCAN, 0))
         assert np.array_equal(u1, u2)
 
-    def test_hermitian_from_params(self, rng):
-        theta = rng.standard_normal(16)
-        h = hermitian_from_params(theta, 4)
-        assert np.max(np.abs(h - h.conj().T)) == 0
-        with pytest.raises(ValueError, match="parameters"):
-            hermitian_from_params(theta[:5], 4)
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
-    def test_hermitian_from_params_matches_loop_reference(self, rng, dim):
-        theta = rng.standard_normal(dim * dim)
-        theta[::3] = 0.0
-        expected = np.diag(theta[:dim]).astype(complex)
-        k = dim
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                expected[i, j] = theta[k] + 1j * theta[k + 1]
-                expected[j, i] = np.conj(expected[i, j])
-                k += 2
-        got = hermitian_from_params(theta, dim)
-        assert got.tobytes() == expected.tobytes()
-
-    def test_expi_hermitian_unitary(self, rng):
-        h = random_hermitian(rng, 4)
-        u = expi_hermitian(h)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
-
     @pytest.mark.parametrize("rows", [(), (1,), (2, 4), (1, 2, 3)])
     def test_feasible_unitary_construction(self, rng, rows):
         pattern = ConstraintPattern.from_rows(rows)
-        ndim = feasible_params_dim(pattern)
+        ndim = 2 * len(pattern.free_rows) + 9
         for _ in range(50):
-            u = feasible_unitary(pattern, rng.standard_normal(ndim))
+            u = symmetry._feasible_from_params(pattern,
+                                               rng.standard_normal(ndim))
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
             for row in rows:
                 assert u[row - 1, 1] == 0.0      # exact zeros by construction
-
-    def test_feasible_unitary_param_count(self):
-        pattern = ConstraintPattern.from_rows([1])
-        with pytest.raises(ValueError, match="parameters"):
-            feasible_unitary(pattern, np.zeros(3))
 
     @pytest.mark.parametrize("rows", [(1,), (1, 2), (1, 2, 3)])
     def test_sample_feasible_unitary(self, rng, rows):
@@ -452,43 +418,21 @@ class TestUnitaryConstructions:
             free = [r - 1 for r in pattern.free_rows]
             assert abs(np.linalg.norm(u[free, 1]) - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_hermitian_from_params_stack_matches_items(self, rng, dim):
-        theta = rng.standard_normal((5, 2, dim * dim))
-        theta[1, 0, ::2] = -0.0
-        stacked = hermitian_from_params(theta, dim)
-        assert stacked.shape == (5, 2, dim, dim)
-        singles = np.array([[hermitian_from_params(t, dim) for t in row]
-                            for row in theta])
-        assert stacked.tobytes() == singles.tobytes()
-
-    def test_expi_hermitian_stack_matches_items(self, rng):
-        h = np.stack([random_hermitian(rng, 3) for _ in range(12)])
-        stacked = expi_hermitian(h.reshape(3, 4, 3, 3))
-        singles = np.stack([expi_hermitian(item) for item in h])
-        assert stacked.tobytes() == singles.reshape(3, 4, 3, 3).tobytes()
-
-    @pytest.mark.parametrize("h", [np.ones((3, 2)), np.ones(3),
-                                   np.diag([1.0, np.inf, 0.0]),
-                                   np.full((2, 3, 3), np.nan)])
-    def test_expi_hermitian_rejects_bad_generator(self, h):
-        with pytest.raises(ValueError, match="generator"):
-            expi_hermitian(h)
-
     @pytest.mark.parametrize("rows", [rows for k in range(4) for rows in
                                       itertools.combinations((1, 2, 3, 4), k)])
     def test_feasible_from_params_rows_match_feasible_unitary(self, rng,
                                                               rows):
         pattern = ConstraintPattern.from_rows(rows)
         m = len(pattern.free_rows)
-        x = rng.standard_normal((60, feasible_params_dim(pattern)))
+        x = rng.standard_normal((60, 2 * m + 9))
         x[7, :2 * m] = 0.0              # zero-norm column 2: the fallback
         x[8, :2 * m] = 1e-13            # below the fallback threshold too
         x[9, 1:2 * m] = 0.0             # column 2 on one free row
         x[10, 2 * m:] = 0.0             # no rotation of the completion
         x[11, :m] = -0.0
         stacked = symmetry._feasible_from_params(pattern, x)
-        singles = np.stack([feasible_unitary(pattern, row) for row in x])
+        singles = np.stack([symmetry._feasible_from_params(pattern, row)
+                            for row in x])
         assert stacked.tobytes() == singles.tobytes()
         expected = np.stack([former_feasible_unitary(pattern, row)
                              for row in x])
@@ -547,7 +491,7 @@ def test_built_mixers_are_unitary(rows, seed, scale):
     m = len(pattern.free_rows)
     gen = np.random.default_rng(seed)
     z = gen.standard_normal((16, 2 * m + 24))
-    x = gen.standard_normal((16, feasible_params_dim(pattern)))
+    x = gen.standard_normal((16, 2 * m + 9))
     z[:8, :2 * m] *= scale          # the first half of each stack
     x[:8, :2 * m] *= scale
     stacks = (symmetry._haar_from_normals(gen.standard_normal((16, 2, 4, 4))),
@@ -725,13 +669,14 @@ class TestMaximize:
     def test_first_of_tied_restarts_wins(self, monkeypatch):
         pattern = ConstraintPattern.from_rows([1])
         x = np.random.default_rng(3).standard_normal(
-            (3, feasible_params_dim(pattern)))
+            (3, 2 * len(pattern.free_rows) + 9))
         runs = [(x[i:i + 1], np.array([f]), 50)
                 for i, f in enumerate([-0.25, -0.5, -0.5])]
         monkeypatch.setattr(symmetry, "minimize", lambda *args: runs)
         p, mixer = maximize_symmetric_probability(BellState.B3, 0.0, pattern)
         assert p == 0.5
-        assert mixer.tobytes() == feasible_unitary(pattern, x[1]).tobytes()
+        assert mixer.tobytes() == \
+            symmetry._feasible_from_params(pattern, x[1]).tobytes()
 
     def test_non_finite_mixer_rejected_without_warning(self):
         m = np.eye(4)
