@@ -197,7 +197,7 @@ def _cmd_optimize(args) -> None:
         bell, args.gamma, pattern, budget=args.budget, seed=args.seed)
     scan = symmetry.feasible_symmetry_scan(
         bell, args.gamma, pattern, args.scan_samples, seed=args.seed)
-    difference = abs(p_opt - scan.p_max)
+    difference = scan.p_max - p_opt  # a scan only bounds it from below
     doc = {
         "schema": OPTIMIZE_REPORT_SCHEMA,
         "state": bell.value,
@@ -243,8 +243,8 @@ def _bath_spin(k: int, spin) -> tuple[complex, complex, float]:
 
 def _load_bath_file(path: str) -> spinbath.BathSpec:
     """The bath of a JSON file as ``schemas/bath_spec.v1.schema.json``
-    describes it; a ``label`` is optional and not read, and any other key
-    is refused. Any fault of the file raises FileError."""
+    describes it; a ``label`` is optional, a string and not read further,
+    and any other key is refused. Any fault of the file raises FileError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -265,6 +265,8 @@ def _load_bath_file(path: str) -> spinbath.BathSpec:
         unknown = sorted(doc.keys() - {"label", "spins"})
         if unknown:
             raise ValueError(f"unknown key {unknown[0]!r}")
+        if not isinstance(doc.get("label", ""), str):
+            raise ValueError("'label' must be a string")
         alphas, betas, omegas = zip(*(_bath_spin(k, spin)
                                       for k, spin in enumerate(spins)))
         return spinbath.BathSpec(alphas=np.array(alphas),

@@ -71,8 +71,7 @@ SCAN_REPORT_SCHEMA = "bellsym/scan-report/v1"
 SYMMETRY_TOL = 1e-9     # swap asymmetry of a symmetric outcome; B4 overlap
 PROB_FLOOR = 1e-14      # outcomes less likely than this are negligible
 N_RESTARTS = 8          # Nelder-Mead starting points of the maximizer
-NM_XATOL = 1e-9         # Nelder-Mead stops when the simplex spans at most
-NM_FATOL = 1e-13        # this in x and its values this in f, both at once
+NM_FATOL = 1e-13        # Nelder-Mead stops when its values span at most this
 BIN_WIDTH = 0.01        # histogram bin width of a scan
 
 _SWAP_IDX = np.array([0, 2, 1, 3])
@@ -446,11 +445,11 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
     that ``sim[0]`` is the best point, its values and the number of values
     it was sent. Step for step this is scipy's ``_minimize_neldermead``
     with ``adaptive=True``, whose coefficients are those of Gao and Han,
-    Comput. Optim. Appl. 51 (2012) 259. It stops once the simplex spans at
-    most ``NM_XATOL`` in x and ``NM_FATOL`` in f, or when ``maxfev`` values
-    are spent. A step that runs out of budget keeps what scipy keeps when its
-    evaluation raises: in a shrink, the first vertex whose value is refused
-    has already moved.
+    Comput. Optim. Appl. 51 (2012) 259. It stops once the simplex's values
+    span at most ``NM_FATOL``, which is scipy's test at ``xatol=inf``, or
+    when ``maxfev`` values are spent. A step that runs out of budget keeps
+    what scipy keeps when its evaluation raises: in a shrink, the first
+    vertex whose value is refused has already moved.
     """
     n = len(x0)
     rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
@@ -462,10 +461,8 @@ def _nelder_mead(x0: np.ndarray, maxfev: int):
     fsim[:nfev] = yield sim[:nfev]
     # scipy sorts twice here; argsort is not stable, so ties may move twice
     sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
-    while nfev < maxfev:
-        if (np.abs(sim[1:] - sim[0]).max() <= NM_XATOL
-                and np.abs(fsim[0] - fsim[1:]).max() <= NM_FATOL):
-            break
+    while (nfev < maxfev
+           and not np.abs(fsim[0] - fsim[1:]).max() <= NM_FATOL):
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + rho) * xbar - rho * sim[-1]
         (fxr,) = yield xr[None]
@@ -511,7 +508,7 @@ def minimize(fun, starts, maxfev: int) -> list[tuple[np.ndarray, np.ndarray,
     for in one ``fun`` call. Returns ``(sim, fsim, nfev)`` of each start, in
     order (see :func:`_nelder_mead`): bitwise the ``final_simplex`` and
     ``nfev`` of scipy's Nelder-Mead with ``adaptive=True``, ``maxfev``,
-    ``xatol=NM_XATOL`` and ``fatol=NM_FATOL`` from that start alone, whose
+    ``xatol=np.inf`` and ``fatol=NM_FATOL`` from that start alone, whose
     ``x`` and ``fun`` are ``sim[0]`` and ``fsim[0]``.
     """
     runs = [_nelder_mead(x0, maxfev) for x0 in starts]

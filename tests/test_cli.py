@@ -235,6 +235,30 @@ class TestOptimizeCommand:
         assert doc["p_max"] == pytest.approx(1.0, abs=1e-9)
         assert doc["pattern"] == []
 
+    def test_scan_below_the_optimum_agrees(self, tmp_path):
+        # a random scan only bounds the maximum from below
+        out = tmp_path / "opt.json"
+        code = main(["optimize", "--state", "B3", "--gamma", "0",
+                     "--pattern", "1", "--budget", "2400", "-o", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["agreement"]["difference"] \
+            == doc["scan"]["p_max"] - doc["p_max"] < 0.0
+        assert doc["agreement"]["within_tolerance"] is True
+
+    def test_scan_above_the_optimum_disagrees(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(symmetry, "maximize_symmetric_probability",
+                            lambda *args, **kwargs: (0.25, np.eye(4)))
+        out = tmp_path / "opt.json"
+        code = main(["optimize", "--state", "B3", "--gamma", "0",
+                     "--pattern", "1", "--scan-samples", "200",
+                     "-o", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["agreement"]["difference"] \
+            == doc["scan"]["p_max"] - 0.25 > doc["agreement"]["tolerance"]
+        assert doc["agreement"]["within_tolerance"] is False
+
     def test_four_row_pattern_is_usage_error(self):
         code = main(["optimize", "--state", "B3", "--gamma", "0.0",
                      "--pattern", "1,2,3,4"])
@@ -438,6 +462,16 @@ class TestSpinbathCommand:
         code, out = run_spinbath_on(tmp_path, json.dumps(doc).encode())
         assert code == 3
         assert f"is malformed: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", [5, None, True, ["x"], {"x": "y"}])
+    def test_label_that_is_not_a_string_exit_3(self, tmp_path, capsys,
+                                               label):
+        doc = {"label": label, "spins": [GOOD_SPIN]}
+        code, out = run_spinbath_on(tmp_path, json.dumps(doc).encode())
+        assert code == 3
+        assert "is malformed: 'label' must be a string" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_label_is_optional(self, tmp_path):
@@ -775,11 +809,15 @@ BATH_DOCS = st.fixed_dictionaries({"spins": st.lists(
 @example(content=HUGE_OMEGA_BATH_FILE)
 @example(content=bath_file_of(OUT_OF_RANGE_SPINS[1:]))
 @example(content=bath_file_of([json.dumps(GOOD_SPIN), OUT_OF_RANGE_SPINS[0]]))
+@example(content=json.dumps({"label": 5, "spins": [GOOD_SPIN]}).encode())
 def test_any_bath_file_ends_in_a_documented_exit_code(content):
     with tempfile.TemporaryDirectory() as tmp:
         code, out = run_spinbath_on(Path(tmp), content)
         assert code in (0, 2, 3, 4)
-        if code != 0:
+        if code == 0:
+            # the reader accepts only what the schema describes
+            assert_valid_for_schema(json.loads(content), "bath_spec")
+        else:
             assert not out.exists()
 
 

@@ -544,7 +544,7 @@ def scipy_minimize(fun, x0, maxfev, callback=None):
     return optimize.minimize(
         lambda x: fun(x[None])[0], x0, method="Nelder-Mead",
         callback=callback,
-        options={"maxfev": maxfev, "xatol": symmetry.NM_XATOL,
+        options={"maxfev": maxfev, "xatol": np.inf,
                  "fatol": symmetry.NM_FATOL, "adaptive": True})
 
 
@@ -588,28 +588,36 @@ def stepped_rosenbrock(x):
     return np.floor(2.0 * rosenbrock(x)) / 2.0
 
 
-def real_objective(x):
-    """The maximizer's objective for B3 at gamma 0 and pattern (1, 2, 3)."""
-    pattern = ConstraintPattern.from_rows([1, 2, 3])
-    return -symmetric_probability(
+def real_objective(rows):
+    """The maximizer's objective for B3 at gamma 0 and pattern ``rows``."""
+    pattern = ConstraintPattern.from_rows(rows)
+    return lambda x: -symmetric_probability(
         BellState.B3, 0.0, symmetry._feasible_from_params(pattern, x))
 
 
-# objective and start; near zero the real objective is flat to rounding,
-# so its simplex shrinks to NM_XATOL within ~650 values
+# objective and start; each run takes an expansion or a contraction, and
+# the runs of stepped-rosenbrock and real shrink (at values 94 and 31)
 OBJECTIVES = {
     "rosenbrock": (rosenbrock, [-1.2, 1.0]),
-    "stepped-rosenbrock": (stepped_rosenbrock, [-1.2, 1.0, 0.5]),
-    "real": (real_objective, [1e-6] * 11),
+    "stepped-rosenbrock": (stepped_rosenbrock, [2.0, -1.5, 0.5]),
+    "real": (real_objective((1,)),
+             np.random.default_rng(0).standard_normal(15).tolist()),
+}
+# more converged runs: stepped-rosenbrock stops on a plateau, and at pattern
+# (1, 2, 3) the real objective is constant, so it stops at its first simplex
+CONVERGED = {
+    **OBJECTIVES,
+    "stepped-rosenbrock-plateau": (stepped_rosenbrock, [-1.2, 1.0, 0.5]),
+    "real-constant": (real_objective((1, 2, 3)), [1e-6] * 11),
 }
 
 
 class TestNelderMead:
     """The vendored Nelder-Mead against scipy's, bit for bit."""
 
-    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("name", sorted(CONVERGED))
     def test_converged_run_matches_scipy(self, name):
-        fun, x0 = OBJECTIVES[name]
+        fun, x0 = CONVERGED[name]
         assert assert_matches_scipy(fun, x0, 20_000) < 20_000
 
     @pytest.mark.parametrize("name", sorted(OBJECTIVES))
@@ -635,6 +643,20 @@ class TestNelderMead:
         _, _, nfev = run_alone(fun, x0, 20_000)
         for maxfev in range(1, nfev + 2):
             assert_matches_scipy(fun, x0, maxfev)
+
+    def test_constant_objective_stops_at_the_first_simplex(self, monkeypatch):
+        # B3 at gamma 0 and pattern (1, 2, 3) is 0.5 for every feasible
+        # mixer, so the first simplex's values already agree
+        minimize = symmetry.minimize
+        runs = []
+
+        def recorded(*args):
+            runs.extend(minimize(*args))
+            return runs
+        monkeypatch.setattr(symmetry, "minimize", recorded)
+        maximize_symmetric_probability(BellState.B3, 0.0, (1, 2, 3), seed=7)
+        n = 2 * 1 + 9       # parameters of one free row
+        assert [nfev for _, _, nfev in runs] == [n + 1] * symmetry.N_RESTARTS
 
     def test_lockstep_runs_match_runs_alone(self, rng):
         starts = rng.standard_normal((5, 3))
@@ -880,13 +902,26 @@ class TestCeiling:
         ceiling = symmetric_ceiling(canonical_kraus(gamma), BellState.B3)
         assert scan.p_max <= ceiling + 1e-12
 
-    # B3 only: its symmetric rows are exactly the u_{mu 2} = 0 rows that a
-    # pattern pins, which B4's are not
+    # B3, the paper's state, on a fixed grid; the property below draws
+    # every state
     @pytest.mark.parametrize("gamma", (0.0, 0.3, 0.7))
     @pytest.mark.parametrize("rows", [(1,), (1, 2), (1, 2, 3)])
     def test_optimizer_reaches_it(self, rows, gamma):
         p_opt, _ = maximize_symmetric_probability(
             BellState.B3, gamma, rows, budget=2400, seed=0)
         ceiling = symmetric_ceiling(canonical_kraus(gamma), BellState.B3)
+        assert p_opt <= ceiling + 1e-12
+        assert abs(p_opt - ceiling) <= 1e-6
+
+    # every state and pattern: a first simplex on a flat stretch of the
+    # objective must not stop a restart short of the ceiling
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(bell=st.sampled_from(BellState), gamma=st.floats(0.0, 1.0),
+           rows=st.sampled_from(PATTERNS), seed=st.integers(0, 2**16))
+    def test_optimizer_reaches_it_for_every_state(self, bell, gamma, rows,
+                                                  seed):
+        p_opt, _ = maximize_symmetric_probability(bell, gamma, rows,
+                                                  budget=2400, seed=seed)
+        ceiling = symmetric_ceiling(canonical_kraus(gamma), bell)
         assert p_opt <= ceiling + 1e-12
         assert abs(p_opt - ceiling) <= 1e-6
