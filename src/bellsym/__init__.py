@@ -15,7 +15,6 @@ from .kraus import (
     KrausSet,
     apply_kraus,
     canonical_kraus,
-    channels_equal,
     choi_of_kraus,
     kraus_from_choi,
     mix_kraus,

@@ -186,7 +186,7 @@ def _parse_pattern(text: str) -> symmetry.ConstraintPattern:
 def _cmd_optimize(args) -> None:
     if args.scan_samples < 1:
         raise ValueError(f"--scan-samples must be >= 1, got {args.scan_samples}")
-    # the scan runs after the search: refuse its stream indices before it
+    # refuse the scan's stream indices before any work
     rng.check_range(args.seed, rng.FEASIBLE_SCAN, range(args.scan_samples))
     if not (np.isfinite(args.agreement_tol) and args.agreement_tol >= 0.0):
         raise ValueError("--agreement-tol must be finite and >= 0, got "
@@ -385,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated mixer rows with u_{mu 2}=0, "
                         "e.g. '1,2,3' (empty for none)")
     p.add_argument("--budget", type=int, default=24000,
-                   help="total objective evaluations for the optimizer")
+                   help="validated and echoed; the maximum is exact and "
+                        "does not depend on it")
     p.add_argument("--scan-samples", type=int, default=10000,
                    help="feasible mixers sampled as an independent check")
     p.add_argument("--agreement-tol", type=float, default=1e-3)

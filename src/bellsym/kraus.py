@@ -42,7 +42,6 @@ __all__ = [
     "choi_of_kraus",
     "kraus_from_choi",
     "mix_kraus",
-    "channels_equal",
 ]
 
 COMPLETENESS_TOL = 1e-10
@@ -221,11 +220,4 @@ def mix_kraus(kraus: KrausSet, mixer) -> KrausSet:
     (mixer,) = _mixer_stack(linalg.as_square_matrix(mixer, "mixer"))
     mixed = np.einsum("ij,jkl->ikl", mixer, kraus.operators)
     return KrausSet(operators=mixed)
-
-
-def channels_equal(a: Union[KrausSet, Sequence[np.ndarray]],
-                   b: Union[KrausSet, Sequence[np.ndarray]],
-                   tol: float) -> bool:
-    """True iff the two sets induce the same channel (Choi matrices agree entrywise)."""
-    return linalg.max_abs(choi_of_kraus(a) - choi_of_kraus(b)) <= tol
 

@@ -32,17 +32,17 @@ counter).
 from __future__ import annotations
 
 import math
+import operator
 from functools import cache
 
 import numpy as np
 
 __all__ = ["derived_rng", "check_range", "fill_normals", "TRAJECTORY",
-           "HAAR_SCAN", "OPT_RESTART", "FEASIBLE_SCAN"]
+           "HAAR_SCAN", "FEASIBLE_SCAN"]
 
 # stream namespaces
 TRAJECTORY = 0
 HAAR_SCAN = 1
-OPT_RESTART = 2
 FEASIBLE_SCAN = 3
 
 _MAX_SEED = 2**64
@@ -69,8 +69,11 @@ _ZIG_SIGN_BIT = 8
 _ZIG_MANTISSA = 52
 
 
-def _range_word(seed: int, stream: int, indices: range) -> int:
-    """Key word of index 0 of ``stream``, after checks of the whole range."""
+def _range_word(seed: int, stream: int, indices: range) -> tuple[int, int]:
+    """The seed as a Python int and the key word of index 0 of ``stream``,
+    after checks of the whole range. A seed that is not an integer (a
+    float, even a whole one) raises ``TypeError``."""
+    seed = operator.index(seed)
     if not 0 <= seed < _MAX_SEED:
         raise ValueError("seed must be an unsigned 64-bit integer")
     if not 0 <= stream < 256:
@@ -80,20 +83,21 @@ def _range_word(seed: int, stream: int, indices: range) -> int:
     for index in (indices[0], indices[-1]) if indices else ():
         if not 0 <= index < _MAX_INDEX:
             raise ValueError(f"index must be in [0, 2^56), got {index}")
-    return stream << 56
+    return seed, stream << 56
 
 
 def derived_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     """Generator for work item ``index`` of ``stream`` under ``seed``."""
-    word = _range_word(seed, stream, range(index, index + 1)) + index
-    key = np.array([seed, word], dtype=np.uint64)
+    seed, word = _range_word(seed, stream, range(index, index + 1))
+    key = np.array([seed, word + index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def check_range(seed: int, stream: int, indices: range) -> None:
     """Raise what :func:`fill_normals` would for ``seed``, ``stream`` and
-    ``indices``, without drawing: ``TypeError`` unless ``indices`` is a
-    range, ``ValueError`` for a seed, a stream or an index out of range."""
+    ``indices``, without drawing: ``TypeError`` for a seed that is not an
+    integer or ``indices`` that are not a range, ``ValueError`` for a seed,
+    a stream or an index out of range."""
     _range_word(seed, stream, indices)
 
 
@@ -108,7 +112,7 @@ def fill_normals(out: np.ndarray, seed: int, stream: int,
     last index are checked before any draw. Memory beyond ``out`` is
     bounded for any number of rows.
     """
-    word = _range_word(seed, stream, indices)
+    seed, word = _range_word(seed, stream, indices)
     if len(out) != len(indices):
         raise ValueError(f"{len(out)} rows for {len(indices)} indices")
     if out.dtype != np.float64 or not out.flags.c_contiguous:

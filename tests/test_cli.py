@@ -136,7 +136,8 @@ class TestKrausCommand:
         assert doc["label"] == "choi-extracted" and doc["gamma"] == 0.3
         ops = operators_of(doc)
         assert ops.tobytes() == library_operators(0.3, "choi").tobytes()
-        assert kraus.channels_equal(ops, kraus.canonical_kraus(0.3), 1e-9)
+        assert np.max(np.abs(kraus.choi_of_kraus(ops) - kraus.choi_of_kraus(
+            kraus.canonical_kraus(0.3)))) <= 1e-9
 
     @pytest.mark.parametrize("gamma", ["-0.5", "1.5", "nan"])
     @pytest.mark.parametrize("method", ["canonical", "choi"])

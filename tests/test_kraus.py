@@ -13,7 +13,6 @@ from bellsym.kraus import (
     KrausSet,
     apply_kraus,
     canonical_kraus,
-    channels_equal,
     choi_from_factors,
     choi_of_kraus,
     completeness_residual,
@@ -25,6 +24,12 @@ from bellsym.symmetry import BellState, haar_unitary
 from conftest import random_density_matrix
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def choi_distance(a, b) -> float:
+    """Largest entry of the difference of two sets' Choi matrices: 0 for
+    the same channel."""
+    return np.max(np.abs(choi_of_kraus(a) - choi_of_kraus(b)))
 
 
 def choi_oracle(gamma_a, gamma_b):
@@ -207,7 +212,7 @@ class TestKrausFromChoi:
     def test_equivalent_but_not_equal_to_canonical(self):
         extracted = kraus_from_choi(choi_from_factors(0.5, 0.5))
         canonical = canonical_kraus(0.5)
-        assert channels_equal(extracted, canonical, 1e-10)
+        assert choi_distance(extracted, canonical) <= 1e-10
         elementwise = all(
             np.allclose(a, b, atol=1e-9)
             for a, b in zip(extracted.operators, canonical.operators))
@@ -242,7 +247,7 @@ class TestMixKraus:
         mixed = mix_kraus(kset, perm)
         assert np.allclose(mixed.operators[0], kset.operators[1], atol=0)
         assert np.allclose(mixed.operators[1], kset.operators[0], atol=0)
-        assert channels_equal(mixed, kset, 1e-12)
+        assert choi_distance(mixed, kset) <= 1e-12
 
     def test_random_mixer_preserves_channel_action(self, rng):
         kset = canonical_kraus(0.3)
@@ -273,20 +278,19 @@ class TestMixKraus:
             mix_kraus(single, np.eye(4))
 
 
-class TestChannelsEqual:
+class TestSameChannel:
     def test_same_set(self):
         kset = canonical_kraus(0.5)
-        assert channels_equal(kset, kset, 1e-12)
+        assert choi_distance(kset, kset) == 0.0
 
     def test_mixed_set_is_equal(self, rng):
         kset = canonical_kraus(0.5)
         mixed = mix_kraus(kset, haar_unitary(rng))
-        assert channels_equal(kset, mixed, 1e-10)
+        assert choi_distance(kset, mixed) <= 1e-10
 
     def test_different_gamma_not_equal(self):
         # single-factor Choi entries differ by exactly 0.1
-        assert not channels_equal(canonical_kraus(0.5), canonical_kraus(0.6),
-                                  1e-6)
+        assert choi_distance(canonical_kraus(0.5), canonical_kraus(0.6)) > 1e-6
 
 
 def _haar(seed: int) -> np.ndarray:

@@ -88,6 +88,26 @@ def test_bad_seed_or_stream_rejected_eagerly(seed, stream):
     assert str(checked.value) == str(filled.value) == str(derived.value)
 
 
+# a whole float once drew one stream through derived_rng and another
+# through fill_normals' kernel
+@pytest.mark.parametrize("seed", [1.0, 1.5, np.float64(2.0)])
+def test_non_integer_seed_rejected_everywhere(seed):
+    with pytest.raises(TypeError):
+        derived_rng(seed, 0, 0)
+    with pytest.raises(TypeError):
+        check_range(seed, 0, range(0))
+    with pytest.raises(TypeError):
+        fill_normals(np.empty((1, 2)), seed, 0, range(1))
+
+
+@pytest.mark.parametrize("width", [2, 8])
+def test_numpy_integer_seed_draws_its_value(width):
+    out = fill_normals(np.empty((3, width)), np.uint64(7), 1, range(3))
+    assert out.tobytes() == reference((width,), 7, 1, range(3)).tobytes()
+    assert derived_rng(np.uint64(7), 1, 0).standard_normal(width).tobytes() \
+        == out[0].tobytes()
+
+
 @pytest.mark.parametrize("width", [2, 8])
 @pytest.mark.parametrize("index", [-1, 2**56])
 def test_bad_index_rejected(index, width):
