@@ -407,6 +407,23 @@ class TestUnitaryConstructions:
             free = [r - 1 for r in pattern.free_rows]
             assert abs(np.linalg.norm(u[free, 1]) - 1.0) <= 1e-12
 
+    # the maximizer's mixer, on every pattern: one real rotation for all
+    # four states, whose only column-2 entry is a 1 on the first free row
+    @pytest.mark.parametrize("rows", [rows for k in range(4) for rows in
+                                      itertools.combinations((1, 2, 3, 4), k)])
+    def test_feasible_unitary_construction(self, rows):
+        pattern = ConstraintPattern.from_rows(rows)
+        column_2 = np.zeros(4)
+        column_2[pattern.free_rows[0] - 1] = 1.0
+        for gamma in np.append(np.linspace(0.0, 1.0, 11), 1 - 1e-16):
+            mixers = [maximize_symmetric_probability(bell, gamma, pattern)[1]
+                      for bell in BellState]
+            u = mixers[0]
+            assert all(m.tobytes() == u.tobytes() for m in mixers)
+            assert u.dtype == np.float64
+            assert np.max(np.abs(u.T @ u - np.eye(4))) <= 1e-15
+            assert np.array_equal(u[:, 1], column_2)
+
     @pytest.mark.parametrize("rows", [(), (1,), (1, 2), (1, 2, 3)])
     def test_feasible_from_normals_stack_matches_rows(self, rng, rows):
         pattern = ConstraintPattern.from_rows(rows)
