@@ -33,10 +33,8 @@ from .symmetry import (
     SymmetryClass,
     brute_force_symmetry_scan,
     haar_unitary,
-    is_exchange_symmetric,
     maximize_symmetric_probability,
     outcome_analysis,
-    swap_operator,
     symmetric_probability,
 )
 

@@ -29,7 +29,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import channel, kraus, rng, spinbath, symmetry
+from . import channel, kraus, spinbath, symmetry
 from .kraus import CompletePositivityError
 
 __all__ = ["main", "build_parser"]
@@ -186,8 +186,6 @@ def _parse_pattern(text: str) -> symmetry.ConstraintPattern:
 def _cmd_optimize(args) -> None:
     if args.scan_samples < 1:
         raise ValueError(f"--scan-samples must be >= 1, got {args.scan_samples}")
-    # refuse the scan's stream indices before any work
-    rng.check_range(args.seed, rng.FEASIBLE_SCAN, range(args.scan_samples))
     if not (np.isfinite(args.agreement_tol) and args.agreement_tol >= 0.0):
         raise ValueError("--agreement-tol must be finite and >= 0, got "
                          f"{args.agreement_tol}")

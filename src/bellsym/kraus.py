@@ -66,8 +66,9 @@ class KrausFactors:
     def from_gamma(cls, gamma: float) -> "KrausFactors":
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+        gamma = float(gamma)
         return cls(
-            gamma=float(gamma),
+            gamma=gamma,
             omega=math.sqrt(1.0 - gamma * gamma),
             alpha=gamma - 1.0,
             beta=gamma + 1.0,

@@ -35,6 +35,7 @@ canonical diagonals, attains the ceiling for every state and pattern.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
@@ -51,8 +52,6 @@ __all__ = [
     "OutcomeReport",
     "ConstraintPattern",
     "ScanResult",
-    "swap_operator",
-    "is_exchange_symmetric",
     "outcome_analysis",
     "symmetric_probability",
     "asymptotic_symmetric_probability",
@@ -71,8 +70,6 @@ SYMMETRY_TOL = 1e-9     # swap asymmetry of a symmetric outcome; B4 overlap
 PROB_FLOOR = 1e-14      # outcomes less likely than this are negligible
 NM_FATOL = 1e-13        # Nelder-Mead stops when its values span at most this
 BIN_WIDTH = 0.01        # histogram bin width of a scan
-
-_SWAP_IDX = np.array([0, 2, 1, 3])
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -112,31 +109,6 @@ class SymmetryClass(str, Enum):
     SYMMETRIC = "symmetric"
     ANTISYMMETRIC = "antisymmetric"
     MIXED = "mixed"
-
-
-def swap_operator() -> np.ndarray:
-    """Permutation exchanging qubit A and qubit B (|01> <-> |10>); involutory."""
-    s = np.zeros((4, 4), dtype=np.complex128)
-    s[np.arange(4), _SWAP_IDX] = 1.0
-    return s
-
-
-def _swap_conjugate(rho: np.ndarray) -> np.ndarray:
-    return rho[_SWAP_IDX][:, _SWAP_IDX]
-
-
-def is_exchange_symmetric(rho) -> tuple[bool, float]:
-    """Swap-invariance test for a density matrix.
-
-    Returns ``(asymmetry <= SYMMETRY_TOL, asymmetry)`` where asymmetry is the
-    Frobenius norm of S rho S - rho. Note that a state supported purely on
-    the B4 ray is swap-invariant as a density matrix even though its vector
-    is antisymmetric. For a pure state with unit vector v the squared
-    asymmetry is 2 q (2 - q) with q = |v_1 - v_2|^2.
-    """
-    rho = linalg.validate_density_matrix(rho)
-    asym = float(np.linalg.norm(_swap_conjugate(rho) - rho))
-    return asym <= SYMMETRY_TOL, asym
 
 
 @dataclass(frozen=True)
@@ -271,7 +243,7 @@ class ConstraintPattern:
     zeroed_rows: frozenset[int]
 
     def __post_init__(self):
-        rows = frozenset(int(r) for r in self.zeroed_rows)
+        rows = frozenset(operator.index(r) for r in self.zeroed_rows)
         if not rows <= {1, 2, 3, 4}:
             raise ValueError(f"rows must be a subset of {{1,2,3,4}}, got {sorted(rows)}")
         if len(rows) > 3:
@@ -397,7 +369,7 @@ def maximize_symmetric_probability(
     pattern and attains the ceiling for every state. ``budget`` and
     ``seed`` are checked but do not change the result.
     """
-    if budget < 1:
+    if operator.index(budget) < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     check_range(seed, FEASIBLE_SCAN, range(0))
     bell = _coerce_bell(bell)
@@ -582,7 +554,8 @@ def _scan(bell, gamma, n_samples, seed, stream, shape, build) -> ScanResult:
         bins = np.clip(np.rint(p / BIN_WIDTH), 0, n_bins - 1).astype(np.int64)
         counts += np.bincount(bins, minlength=n_bins)
     return ScanResult(
-        bell=bell, gamma=float(gamma), n_samples=n_samples, seed=seed,
+        bell=bell, gamma=float(gamma), n_samples=operator.index(n_samples),
+        seed=operator.index(seed),
         bin_width=BIN_WIDTH, p_max=float(p_max), p_min=float(p_min),
         p_mean=float(total / n_samples), counts=tuple(int(c) for c in counts),
     )

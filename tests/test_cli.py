@@ -862,9 +862,9 @@ def test_scan_beyond_index_space_is_refused_up_front(tmp_path, capsys,
 
 def test_scan_samples_beyond_index_space_are_refused_before_search(
         tmp_path, capsys, monkeypatch):
-    def no_search(*args, **kwargs):
-        raise AssertionError("the optimizer ran")
-    monkeypatch.setattr(symmetry, "maximize_symmetric_probability", no_search)
+    def no_samples(*args):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(symmetry, "fill_normals", no_samples)
     out = tmp_path / "opt.json"
     code = main(["optimize", "--state", "B3", "--gamma", "0",
                  "--scan-samples", BEYOND_INDEX_SPACE, "-o", str(out)])

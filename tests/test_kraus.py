@@ -57,6 +57,11 @@ class TestKrausFactors:
         slot_outer = f.omega**2 / 2 + f.alpha**2 / 4 + f.beta**2 / 4
         assert abs(slot_outer - 1.0) <= 1e-12
 
+    def test_float32_gamma_is_widened_first(self):
+        gamma = np.float32(0.3)
+        assert canonical_kraus(gamma).operators.tobytes() == \
+            canonical_kraus(float(gamma)).operators.tobytes()
+
     @pytest.mark.parametrize("gamma", [-0.1, 1.1, 2.0])
     def test_out_of_range_rejected(self, gamma):
         with pytest.raises(ValueError, match="gamma"):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -22,11 +23,9 @@ from bellsym.symmetry import (
     brute_force_symmetry_scan,
     feasible_symmetry_scan,
     haar_unitary,
-    is_exchange_symmetric,
     maximize_symmetric_probability,
     outcome_analysis,
     sample_feasible_unitary,
-    swap_operator,
     symmetric_probability,
 )
 from bellsym.rng import FEASIBLE_SCAN, HAAR_SCAN, derived_rng
@@ -81,10 +80,17 @@ class TestBellStates:
         assert np.allclose(BellState.B4.vector, [0, s, -s, 0], atol=0)
 
     def test_swap_eigenvectors(self):
-        s = swap_operator()
-        for state in (BellState.B1, BellState.B2, BellState.B3):
-            assert np.array_equal(s @ state.vector, state.vector)
-        assert np.array_equal(s @ BellState.B4.vector, -BellState.B4.vector)
+        # at gamma = 1 the identity mixer's one live outcome is the state
+        for state in BellState:
+            *dead, live = outcome_analysis(state, 1.0, np.eye(4))
+            assert all(rep.negligible for rep in dead)
+            assert np.allclose(live.state, state.density(), rtol=0,
+                               atol=1e-15)
+            assert live.symmetry_class is (
+                SymmetryClass.ANTISYMMETRIC if state is BellState.B4
+                else SymmetryClass.SYMMETRIC)
+            # B4's density is swap-invariant although its vector flips sign
+            assert live.asymmetry == 0.0
 
     def test_densities_are_valid(self):
         for state in BellState:
@@ -92,78 +98,20 @@ class TestBellStates:
             assert abs(np.trace(rho) - 1.0) <= 1e-12
 
 
-class TestSwapOperator:
-    def test_involutory(self):
-        s = swap_operator()
-        assert np.array_equal(s @ s, np.eye(4).astype(complex))
-
-    def test_fixes_symmetric_bell_density(self):
-        s = swap_operator()
-        rho = BellState.B3.density()
-        assert np.array_equal(s @ rho @ s, rho)
-
-    def test_fixes_antisymmetric_density_despite_sign_flip(self):
-        s = swap_operator()
-        rho = BellState.B4.density()
-        assert np.allclose(s @ rho @ s, rho, atol=0)
-
-    def test_exchanges_product_projectors(self):
-        s = swap_operator()
-        p01 = np.zeros((4, 4), dtype=complex)
-        p01[1, 1] = 1.0
-        p10 = np.zeros((4, 4), dtype=complex)
-        p10[2, 2] = 1.0
-        assert np.array_equal(s @ p01 @ s, p10)
-
-
-class TestIsExchangeSymmetric:
-    def test_bell_one_is_symmetric(self):
-        ok, asym = is_exchange_symmetric(BellState.B1.density())
-        assert ok and asym == 0.0
-
-    def test_product_state_asymmetry_is_sqrt_two(self):
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[1, 1] = 1.0
-        ok, asym = is_exchange_symmetric(rho)
-        assert not ok
-        assert asym == pytest.approx(math.sqrt(2.0), abs=1e-15)
-
-    def test_central_block_equal_weights(self):
-        # all non-zero elements equal -> symmetric
-        ok, asym = is_exchange_symmetric(central_state(0.5, 0.5))
-        assert ok and asym <= 1e-15
-        # unequal weights break the symmetry
-        ok, asym = is_exchange_symmetric(central_state(1.0, 0.0))
-        assert not ok and asym > 1.0
-
-    def test_antisymmetric_ray_is_swap_invariant(self):
-        ok, asym = is_exchange_symmetric(BellState.B4.density())
-        assert ok and asym <= 1e-15
-
-    def test_cross_sector_mixture(self):
-        rho = 0.5 * BellState.B3.density() + 0.5 * BellState.B4.density()
-        ok, _ = is_exchange_symmetric(rho)
-        assert ok
-
-    def test_pure_state_cross_check_runs_quietly(self, rng):
-        for _ in range(200):
-            z = rng.standard_normal((2, 4))
-            v = z[0] + 1j * z[1]
-            v /= np.linalg.norm(v)
-            rho = np.outer(v, v.conj())
-            is_exchange_symmetric(rho)      # must not raise
-
-
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
-       .filter(lambda xs: sum(x * x for x in xs) > 1e-3))
-def test_pure_state_asymmetry_closed_form(parts):
-    # ||S rho S - rho||_F^2 = 2 q (2 - q) with q = |v_1 - v_2|^2
-    v = np.array(parts[:4]) + 1j * np.array(parts[4:])
-    v /= np.linalg.norm(v)
-    _, asym = is_exchange_symmetric(np.outer(v, v.conj()))
-    q = abs(v[1] - v[2]) ** 2
-    assert abs(asym**2 - 2.0 * q * (2.0 - q)) <= 1e-7
+@given(state=st.sampled_from(BellState), gamma=st.floats(0.0, 1.0),
+       rows=st.sets(st.integers(1, 4), max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_pure_state_asymmetry_closed_form(state, gamma, rows, seed):
+    # the core's 2 q (2 - q), q = |psi_1 - psi_2|^2, against ||S rho S - rho||_F
+    mixer = sample_feasible_unitary(ConstraintPattern.from_rows(rows),
+                                    np.random.default_rng(seed))
+    for rep in outcome_analysis(state, gamma, mixer):
+        if rep.negligible:
+            continue
+        swapped = rep.state[[0, 2, 1, 3]][:, [0, 2, 1, 3]]
+        norm = np.linalg.norm(swapped - rep.state)
+        assert abs(rep.asymmetry**2 - norm**2) <= 1e-7
 
 
 class TestOutcomeAnalysis:
@@ -379,8 +327,13 @@ class TestConstraintPattern:
         with pytest.raises(ValueError, match="subset"):
             ConstraintPattern.from_rows([0, 5])
 
+    @pytest.mark.parametrize("row", [1.5, "1"])
+    def test_rejects_rows_that_are_not_integers(self, row):
+        with pytest.raises(TypeError):
+            ConstraintPattern.from_rows([row])
+
     def test_free_rows(self):
-        pattern = ConstraintPattern.from_rows([1, 3])
+        pattern = ConstraintPattern.from_rows([1, np.int64(3)])
         assert pattern.rows_sorted == (1, 3)
         assert pattern.free_rows == (2, 4)
 
@@ -646,11 +599,17 @@ class TestMaximize:
 
     def test_budget_and_seed_do_not_change_the_result(self):
         p, mixer = maximize_symmetric_probability(BellState.B3, 0.0, (1, 2),
-                                                  budget=1, seed=0)
+                                                  budget=np.int64(1), seed=0)
         p_ref, mixer_ref = maximize_symmetric_probability(
             BellState.B3, 0.0, (1, 2), budget=24000, seed=505)
         assert (np.float64(p).tobytes(), mixer.tobytes()) == \
             (np.float64(p_ref).tobytes(), mixer_ref.tobytes())
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 2.5])
+    def test_budget_that_is_not_an_integer_rejected(self, budget):
+        with pytest.raises(TypeError):
+            maximize_symmetric_probability(BellState.B3, 0.0, (1,),
+                                           budget=budget)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_seed_rejected(self, seed):
@@ -744,6 +703,17 @@ class TestBruteForceScan:
     def test_report_validates_against_schema(self):
         res = brute_force_symmetry_scan(BellState.B3, 0.0, 50, seed=1)
         assert_valid_for_schema(res.to_dict(), "scan_report")
+
+    @pytest.mark.parametrize("scan", [
+        brute_force_symmetry_scan,
+        lambda bell, gamma, n, seed: feasible_symmetry_scan(
+            bell, gamma, ConstraintPattern.from_rows([1]), n, seed)],
+        ids=["haar", "feasible"])
+    @pytest.mark.parametrize("integer", [np.uint64, np.int64])
+    def test_numpy_integer_arguments_give_a_json_report(self, scan, integer):
+        doc = scan(BellState.B3, 0.0, integer(2), seed=integer(7)).to_dict()
+        assert doc == scan(BellState.B3, 0.0, 2, seed=7).to_dict()
+        json.dumps(doc)
 
 
 def _batched_feasible_max(rows, n_total, seed, chunk=100_000):
