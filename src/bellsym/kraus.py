@@ -126,7 +126,7 @@ class KrausSet:
         residual = completeness_residual(ops)
         if not residual <= COMPLETENESS_TOL:
             raise ValueError(
-                "Kraus set violates completeness: residual "
+                "incomplete Kraus set: completeness residual "
                 f"{residual:.3e} > {COMPLETENESS_TOL:g}")
 
     def __len__(self) -> int:
@@ -146,12 +146,8 @@ def canonical_kraus(gamma: float) -> KrausSet:
 
 def apply_kraus(kraus: Union[KrausSet, Sequence[np.ndarray]], rho) -> np.ndarray:
     """sum_mu K_mu rho K_mu^dag for a complete set of operators (a raw
-    sequence is checked here; a KrausSet was checked when it was built)."""
-    ops = _operators_of(kraus)
-    if not isinstance(kraus, KrausSet):
-        residual = completeness_residual(ops)
-        if not residual <= COMPLETENESS_TOL:
-            raise ValueError(f"incomplete Kraus set: residual {residual:.3e}")
+    sequence is checked as a KrausSet)."""
+    ops = (kraus if isinstance(kraus, KrausSet) else KrausSet(kraus)).operators
     rho = validate_density_matrix(rho)
     return (ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0)
 

@@ -69,6 +69,7 @@ SCAN_REPORT_SCHEMA = "bellsym/scan-report/v1"
 SYMMETRY_TOL = 1e-9     # swap asymmetry of a symmetric outcome; B4 overlap
 PROB_FLOOR = 1e-14      # outcomes less likely than this are negligible
 NM_FATOL = 1e-13        # Nelder-Mead stops when its values span at most this
+RANK_FLOOR = 1e-4       # smallest |R_jj| of a feasible completion kept as is
 BIN_WIDTH = 0.01        # histogram bin width of a scan
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -127,12 +128,6 @@ class OutcomeReport:
     negligible: bool
 
 
-def _coerce_bell(bell: Union[BellState, str]) -> BellState:
-    if isinstance(bell, BellState):
-        return bell
-    return BellState(str(bell))
-
-
 # Class codes of _outcomes, indexing _CLASSES; a negligible outcome has no
 # class.
 _SYMMETRIC, _ANTISYMMETRIC, _MIXED, _NEGLIGIBLE = range(4)
@@ -154,16 +149,20 @@ def _outcomes(bell: BellState, diagonals: np.ndarray, mixers: np.ndarray):
     and a NaN asymmetry.
 
     For a normalized outcome psi with q = |psi_1 - psi_2|^2, the B4 overlap
-    is q / 2 and ||S rho S - rho||_F^2 = 2 q (2 - q); both come from the
-    difference of the middle amplitudes, so neither loses precision near
-    zero.
+    is q / 2 and ||S rho S - rho||_F^2 = 2 q (2 - q), where 2 - q =
+    |psi_1 + psi_2|^2 + 2 |psi_0|^2 + 2 |psi_3|^2. Each factor is a sum of
+    squares, so the asymmetry keeps its precision near both rays, q = 0
+    (symmetric) and q = 2 (antisymmetric).
     """
     # row mu of mixer @ diagonals is the diagonal of E_mu
     amp = (mixers @ diagonals) * bell.vector
     prob = (amp.conj()[..., None, :] @ amp[..., :, None])[..., 0, 0].real
     live = prob >= PROB_FLOOR
-    q = np.abs(amp[..., 1] - amp[..., 2]) ** 2 / np.where(live, prob, 1.0)
-    asym = np.sqrt(np.maximum(0.0, 2.0 * q * (2.0 - q)))
+    p = np.where(live, prob, 1.0)
+    q = np.abs(amp[..., 1] - amp[..., 2]) ** 2 / p
+    rest = (np.abs(amp[..., 1] + amp[..., 2]) ** 2
+            + 2.0 * (np.abs(amp[..., 0]) ** 2 + np.abs(amp[..., 3]) ** 2)) / p
+    asym = np.sqrt(2.0 * q * rest)
     code = np.where(q / 2.0 >= 1.0 - SYMMETRY_TOL, _ANTISYMMETRIC,
                     np.where(asym <= SYMMETRY_TOL, _SYMMETRIC, _MIXED))
     code[~live] = _NEGLIGIBLE
@@ -174,7 +173,7 @@ def _outcomes(bell: BellState, diagonals: np.ndarray, mixers: np.ndarray):
 def _validated(bell, gamma, mixer):
     """``_outcomes``' arguments from a user's state, gamma and mixer (or
     stack of mixers), each checked."""
-    bell = _coerce_bell(bell)
+    bell = BellState(bell)
     diagonals = KrausFactors.from_gamma(gamma).diagonals()
     return bell, diagonals, _mixer_stack(mixer)
 
@@ -285,24 +284,25 @@ def asymptotic_symmetric_probability(pattern: ConstraintPattern, mixer) -> float
 # unitary constructions
 # ---------------------------------------------------------------------------
 
-def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
+def _phase_fixed_q(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Q factor of each matrix of ``g`` (..., m, n), with column j multiplied
-    by the phase of R's diagonal entry j.
+    by the phase of R's diagonal entry j, and the magnitudes |R_jj| (..., n).
 
     The phase fold makes Q of a complex Ginibre matrix exactly Haar
     distributed rather than merely orthonormal.
     """
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    d[d == 0] = 1.0
-    return q * (d / np.abs(d))[..., None, :]
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    size = np.abs(d)
+    phase = np.divide(d, size, out=np.ones_like(d), where=size != 0)
+    return q * phase[..., None, :], size
 
 
 def _haar_from_normals(z: np.ndarray) -> np.ndarray:
     """Haar unitaries from standard normals of shape (..., 2, d, d): the real
     and imaginary parts of one complex Ginibre matrix each."""
     return _phase_fixed_q((z[..., 0, :, :] + 1j * z[..., 1, :, :])
-                          / math.sqrt(2.0))
+                          / math.sqrt(2.0))[0]
 
 
 def haar_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -333,7 +333,14 @@ def _feasible_from_normals(pattern: ConstraintPattern,
                     / np.where(fallback, math.sqrt(m), norm))
     g = z[..., 2 * m:].reshape(z.shape[:-1] + (2, 4, 3))
     g = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / math.sqrt(2.0)
-    q = _phase_fixed_q(g - c[..., :, None] * (c.conj()[..., None, :] @ g))
+    q, size = _phase_fixed_q(
+        g - c[..., :, None] * (c.conj()[..., None, :] @ g))
+    # a nearly rank-deficient projected block has a Q that need not be
+    # orthogonal to c; the full Q of [c | g] is unitary whatever the rank
+    thin = size.min(axis=-1) < RANK_FLOOR
+    if thin.any():
+        q[thin] = _phase_fixed_q(np.concatenate(
+            [c[thin][..., None], g[thin]], axis=-1))[0][..., 1:]
     return np.concatenate([q[..., :1], c[..., None], q[..., 1:]], axis=-1)
 
 
@@ -372,7 +379,7 @@ def maximize_symmetric_probability(
     if operator.index(budget) < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     check_range(seed, FEASIBLE_SCAN, range(0))
-    bell = _coerce_bell(bell)
+    bell = BellState(bell)
     if not isinstance(pattern, ConstraintPattern):
         pattern = ConstraintPattern.from_rows(pattern)
     diagonals = KrausFactors.from_gamma(gamma).diagonals()
@@ -387,103 +394,23 @@ def maximize_symmetric_probability(
 
 
 # ---------------------------------------------------------------------------
-# adaptive Nelder-Mead: the package does not call it (see __all__)
+# scipy's adaptive Nelder-Mead: the package does not call it (see __all__)
 # ---------------------------------------------------------------------------
-
-def _sort_simplex(sim: np.ndarray, fsim: np.ndarray):
-    ind = fsim.argsort()
-    return sim[ind], fsim[ind]
-
-
-def _nelder_mead(x0: np.ndarray, maxfev: int):
-    """Adaptive Nelder-Mead from ``x0`` as a generator of evaluation requests.
-
-    It yields stacks (k, n) of points and is sent their k values; it returns
-    ``(sim, fsim, nfev)``: the final simplex (n + 1, n) sorted by value, so
-    that ``sim[0]`` is the best point, its values and the number of values
-    it was sent. Step for step this is scipy's ``_minimize_neldermead``
-    with ``adaptive=True``, whose coefficients are those of Gao and Han,
-    Comput. Optim. Appl. 51 (2012) 259. It stops once the simplex's values
-    span at most ``NM_FATOL``, which is scipy's test at ``xatol=inf``, or
-    when ``maxfev`` values are spent. A step that runs out of budget keeps
-    what scipy keeps when its evaluation raises: in a shrink, the first
-    vertex whose value is refused has already moved.
-    """
-    n = len(x0)
-    rho, chi, psi, sigma = 1, 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
-    sim = np.tile(x0, (n + 1, 1))
-    k = np.arange(n)
-    sim[k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = np.full(n + 1, np.inf)
-    nfev = min(n + 1, maxfev)
-    fsim[:nfev] = yield sim[:nfev]
-    # scipy sorts twice here; argsort is not stable, so ties may move twice
-    sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
-    while (nfev < maxfev
-           and not np.abs(fsim[0] - fsim[1:]).max() <= NM_FATOL):
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        (fxr,) = yield xr[None]
-        nfev += 1
-        if fxr < fsim[0]:
-            if nfev < maxfev:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                (fxe,) = yield xe[None]
-                nfev += 1
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif nfev < maxfev:
-            if fxr < fsim[-1]:
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                (fxc,) = yield xc[None]
-                shrink = not fxc <= fxr
-            else:
-                xc = (1 - psi) * xbar + psi * sim[-1]
-                (fxc,) = yield xc[None]
-                shrink = not fxc < fsim[-1]
-            nfev += 1
-            if not shrink:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                left = maxfev - nfev
-                shrunk = sim[0] + sigma * (sim[1:] - sim[0])
-                sim[1:left + 2] = shrunk[:left + 1]
-                if left:
-                    fsim[1:left + 1] = yield shrunk[:left]
-                    nfev += min(left, n)
-        sim, fsim = _sort_simplex(sim, fsim)
-    return sim, fsim, nfev
-
 
 def minimize(fun, starts, maxfev: int) -> list[tuple[np.ndarray, np.ndarray,
                                                      int]]:
-    """Minimize ``fun`` by adaptive Nelder-Mead from each row of ``starts``
-    (r, n), spending at most ``maxfev`` values per start.
-
-    ``fun`` maps points (k, n) to their values (k,). The runs advance in
-    lockstep: each round evaluates the points that every unfinished run asks
-    for in one ``fun`` call. Returns ``(sim, fsim, nfev)`` of each start, in
-    order (see :func:`_nelder_mead`): bitwise the ``final_simplex`` and
-    ``nfev`` of scipy's Nelder-Mead with ``adaptive=True``, ``maxfev``,
-    ``xatol=np.inf`` and ``fatol=NM_FATOL`` from that start alone, whose
-    ``x`` and ``fun`` are ``sim[0]`` and ``fsim[0]``.
-    """
-    runs = [_nelder_mead(x0, maxfev) for x0 in starts]
-    asks = [next(run) for run in runs]
-    results = [None] * len(runs)
-    live = list(range(len(runs)))
-    while live:
-        values = fun(np.concatenate([asks[i] for i in live]))
-        end = 0
-        for i in live:
-            start, end = end, end + len(asks[i])
-            try:
-                asks[i] = runs[i].send(values[start:end])
-            except StopIteration as done:
-                results[i] = done.value
-        live = [i for i in live if results[i] is None]
-    return results
+    """Minimize ``fun``, mapping points (k, n) to values (k,), from each row
+    of ``starts`` (r, n) by scipy's adaptive Nelder-Mead (Gao and Han,
+    Comput. Optim. Appl. 51 (2012) 259) with at most ``maxfev`` values and
+    value spread ``NM_FATOL``; returns ``(*final_simplex, nfev)`` per start.
+    scipy comes with the ``test`` extra and is imported here, so importing
+    bellsym never loads it."""
+    from scipy.optimize import minimize as scipy_minimize
+    options = {"adaptive": True, "maxfev": maxfev, "xatol": np.inf,
+               "fatol": NM_FATOL}
+    return [(*res.final_simplex, res.nfev) for res in (
+        scipy_minimize(lambda x: fun(x[None])[0], x0, method="Nelder-Mead",
+                       options=options) for x0 in starts)]
 
 
 @dataclass(frozen=True)
@@ -535,7 +462,7 @@ def _scan(bell, gamma, n_samples, seed, stream, shape, build) -> ScanResult:
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    bell = _coerce_bell(bell)
+    bell = BellState(bell)
     diagonals = KrausFactors.from_gamma(gamma).diagonals()
     n_bins = int(round(1.0 / BIN_WIDTH)) + 1
     counts = np.zeros(n_bins, dtype=np.int64)

@@ -24,7 +24,7 @@ EXPORT_ALLOWLIST = {
     "kraus.choi_of_kraus":
         "the reference the Choi cross-checks compare kraus_from_choi against",
     "symmetry.minimize":
-        "perfbench/spans.py FOREIGN looks it up by name for every Tracer",
+        "calls scipy; goes when perfbench/spans.py FOREIGN goes",
 }
 
 

@@ -114,6 +114,20 @@ def test_pure_state_asymmetry_closed_form(state, gamma, rows, seed):
         assert abs(rep.asymmetry**2 - norm**2) <= 1e-7
 
 
+# B4's outcomes lie within sqrt(1 - gamma^2) of its ray, where q is near 2
+# and forming 2 - q by subtraction would cancel
+@pytest.mark.parametrize("gamma", [1.0 - 1e-8, 1.0 - 1e-12, 1.0 - 1e-16, 1.0])
+def test_asymmetry_is_precise_near_the_antisymmetric_ray(gamma):
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        for rep in outcome_analysis(BellState.B4, gamma, haar_unitary(rng)):
+            if rep.negligible:
+                continue
+            swapped = rep.state[[0, 2, 1, 3]][:, [0, 2, 1, 3]]
+            norm = np.linalg.norm(swapped - rep.state)
+            assert abs(rep.asymmetry - norm) <= 1e-14
+
+
 class TestOutcomeAnalysis:
     def test_corner_state_all_outcomes_symmetric(self, rng):
         for gamma in (0.0, 0.4, 1.0):
@@ -441,45 +455,50 @@ def test_built_mixers_are_unitary(rows, seed, scale):
                               np.full((8, m), 1.0 / math.sqrt(m)))
 
 
-def run_alone(fun, x0, maxfev):
-    """One vendored Nelder-Mead run, driven without the lockstep driver."""
-    run = symmetry._nelder_mead(np.asarray(x0, dtype=float), maxfev)
-    try:
-        points = next(run)
-        while True:
-            points = run.send(fun(points))
-    except StopIteration as done:
-        return done.value
+# Completions whose projected block is (nearly) rank-deficient: block
+# column 0 along c, or two equal block columns, each perturbed by delta.
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(rows=st.sets(st.integers(1, 4), max_size=3),
+       seed=st.integers(0, 2**32 - 1),
+       along_c=st.booleans(),
+       delta=st.sampled_from([0.0, 1e-12, 1e-8, 1e-6, 1e-5]))
+def test_rank_deficient_completion_is_unitary(rows, seed, along_c, delta):
+    pattern = ConstraintPattern.from_rows(rows)
+    free = [r - 1 for r in pattern.free_rows]
+    m = len(free)
+    gen = np.random.default_rng(seed)
+    z = gen.standard_normal(2 * m + 24)
+    block = z[2 * m:].reshape(2, 4, 3)      # a view: writes go into z
+    if along_c:
+        c = np.zeros(4, dtype=complex)
+        c[free] = z[:m] + 1j * z[m:2 * m]
+        c /= np.linalg.norm(c)
+        block[:, :, 0] = SQRT2 * np.array([c.real, c.imag])
+    else:
+        block[:, :, 0] = block[:, :, 1]
+    block[:, :, 0] += delta * gen.standard_normal((2, 4))
+    u = symmetry._feasible_from_normals(pattern, z)
+    # the scans build stacks, where only the flagged rows are rebuilt
+    stack = np.stack([gen.standard_normal(z.shape), z])
+    assert symmetry._feasible_from_normals(pattern, stack)[1].tobytes() \
+        == u.tobytes()
+    assert linalg.is_unitary(u)
+    for row in rows:
+        assert u[row - 1, 1] == 0.0
+    assert symmetric_probability(BellState.B3, 0.0, u) <= 0.5 + 1e-12
 
 
-def scipy_minimize(fun, x0, maxfev, callback=None):
+def scipy_minimize(fun, x0, maxfev):
     optimize = pytest.importorskip("scipy.optimize")
     return optimize.minimize(
         lambda x: fun(x[None])[0], x0, method="Nelder-Mead",
-        callback=callback,
         options={"maxfev": maxfev, "xatol": np.inf,
                  "fatol": symmetry.NM_FATOL, "adaptive": True})
 
 
-def scipy_iteration_starts(fun, x0):
-    """Values scipy has spent when each Nelder-Mead iteration starts, and
-    how many each iteration spends: 1 for an accepted reflection, 2 with an
-    expansion or a contraction, n + 2 with a shrink."""
-    spent = []
-
-    def counted(x):
-        spent.extend(x)
-        return fun(x)
-
-    ends = [len(x0) + 1]
-    scipy_minimize(counted, x0, 20_000,
-                   callback=lambda xk: ends.append(len(spent)))
-    return [(a, b - a) for a, b in zip(ends, ends[1:])]
-
-
 def assert_matches_scipy(fun, x0, maxfev):
-    """The lockstep driver from ``x0`` returns scipy's x, fun, nfev and
-    final simplex."""
+    """``minimize`` from ``x0`` returns scipy's x, fun, nfev and final
+    simplex."""
     expected = scipy_minimize(fun, x0, maxfev)
     ((sim, fsim, nfev),) = symmetry.minimize(fun, np.array([x0], float),
                                              maxfev)
@@ -505,65 +524,33 @@ def constant(x):
     return np.full(len(x), -0.5)
 
 
-# objective and start; each run takes an expansion or a contraction, and
-# the run of stepped-rosenbrock shrinks (at value 94)
-OBJECTIVES = {
+# objective and start of runs that converge: each rosenbrock run takes an
+# expansion or a contraction, the first stepped-rosenbrock run shrinks (at
+# value 94), the second stops on a plateau, and a constant objective stops
+# at its first simplex
+CONVERGED = {
     "rosenbrock": (rosenbrock, [-1.2, 1.0]),
     "stepped-rosenbrock": (stepped_rosenbrock, [2.0, -1.5, 0.5]),
-}
-# more converged runs: stepped-rosenbrock stops on a plateau, and a constant
-# objective stops at its first simplex
-CONVERGED = {
-    **OBJECTIVES,
     "stepped-rosenbrock-plateau": (stepped_rosenbrock, [-1.2, 1.0, 0.5]),
     "real-constant": (constant, [1e-6] * 11),
 }
 
 
 class TestNelderMead:
-    """The vendored Nelder-Mead against scipy's, bit for bit."""
+    """``minimize`` passes its options to scipy and returns its results in
+    the documented order."""
 
     @pytest.mark.parametrize("name", sorted(CONVERGED))
     def test_converged_run_matches_scipy(self, name):
         fun, x0 = CONVERGED[name]
         assert assert_matches_scipy(fun, x0, 20_000) < 20_000
 
-    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
-    def test_budget_spent_after_a_reflection(self, name):
-        fun, x0 = OBJECTIVES[name]
-        # the reflection of the first iteration that wants another value
-        start = next(start for start, cost in scipy_iteration_starts(fun, x0)
-                     if cost >= 2)
-        assert assert_matches_scipy(fun, x0, start + 1) == start + 1
-
-    def test_budget_spent_inside_a_shrink(self):
-        fun, x0 = OBJECTIVES["stepped-rosenbrock"]
-        n = len(x0)
-        start = next(start for start, cost in scipy_iteration_starts(fun, x0)
-                     if cost == n + 2)
-        # the reflection and the contraction, then 0 to n - 1 shrunk vertices
-        for maxfev in range(start + 2, start + n + 2):
-            assert assert_matches_scipy(fun, x0, maxfev) == maxfev
-
-    def test_every_budget_matches_scipy(self):
-        fun, x0 = stepped_rosenbrock, [-1.2, 1.0]
-        _, _, nfev = run_alone(fun, x0, 20_000)
-        for maxfev in range(1, nfev + 2):
-            assert_matches_scipy(fun, x0, maxfev)
-
     def test_constant_objective_stops_at_the_first_simplex(self):
+        pytest.importorskip("scipy.optimize")
         fun, x0 = CONVERGED["real-constant"]
         starts = np.random.default_rng(7).standard_normal((8, len(x0)))
         runs = symmetry.minimize(fun, starts, 3000)
         assert [nfev for _, _, nfev in runs] == [len(x0) + 1] * len(starts)
-
-    def test_lockstep_runs_match_runs_alone(self, rng):
-        starts = rng.standard_normal((5, 3))
-        runs = symmetry.minimize(stepped_rosenbrock, starts, 400)
-        for x0, (sim, fsim, nfev) in zip(starts, runs):
-            sim1, fsim1, nfev1 = run_alone(stepped_rosenbrock, x0, 400)
-            assert (sim.tobytes(), fsim.tobytes(), nfev) \
-                == (sim1.tobytes(), fsim1.tobytes(), nfev1)
 
 
 class TestMaximize:
