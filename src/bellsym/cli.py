@@ -278,8 +278,6 @@ def _cmd_spinbath(args) -> None:
     if args.bath_file is not None:
         bath = _load_bath_file(args.bath_file)
     else:
-        if args.n_spins is None:
-            raise ValueError("either --bath-file or --n-spins is required")
         bath = spinbath.random_bath(
             args.n_spins, seed=args.seed,
             equal_amplitudes=(args.amplitudes == "equal"),
@@ -393,10 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spinbath",
                        help="central-spin decoherence factor on a time grid")
-    p.add_argument("--bath-file", default=None,
-                   help="JSON bath specification")
-    p.add_argument("--n-spins", type=int, default=None,
-                   help="generate a random bath instead of loading one")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--bath-file", default=None,
+                        help="JSON bath specification")
+    source.add_argument("--n-spins", type=int, default=None,
+                        help="generate a random bath instead of loading one")
     p.add_argument("--amplitudes", choices=("equal", "random"),
                    default="equal")
     p.add_argument("--omega-min", type=float, default=0.0)

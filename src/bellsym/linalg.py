@@ -41,8 +41,8 @@ def dagger(a) -> np.ndarray:
 
 
 def max_abs(a) -> float:
-    """Largest entry magnitude (max norm)."""
-    return float(np.max(np.abs(np.asarray(a))))
+    """Largest entry magnitude (max norm); 0 for an empty array."""
+    return float(np.max(np.abs(np.asarray(a)), initial=0.0))
 
 
 def is_unitary(a) -> bool:

@@ -69,7 +69,6 @@ SCAN_REPORT_SCHEMA = "bellsym/scan-report/v1"
 SYMMETRY_TOL = 1e-9     # swap asymmetry of a symmetric outcome; B4 overlap
 PROB_FLOOR = 1e-14      # outcomes less likely than this are negligible
 NM_FATOL = 1e-13        # Nelder-Mead stops when its values span at most this
-RANK_FLOOR = 1e-4       # smallest |R_jj| of a feasible completion kept as is
 BIN_WIDTH = 0.01        # histogram bin width of a scan
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -284,9 +283,9 @@ def asymptotic_symmetric_probability(pattern: ConstraintPattern, mixer) -> float
 # unitary constructions
 # ---------------------------------------------------------------------------
 
-def _phase_fixed_q(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _phase_fixed_q(g: np.ndarray) -> np.ndarray:
     """Q factor of each matrix of ``g`` (..., m, n), with column j multiplied
-    by the phase of R's diagonal entry j, and the magnitudes |R_jj| (..., n).
+    by the phase of R's diagonal entry j.
 
     The phase fold makes Q of a complex Ginibre matrix exactly Haar
     distributed rather than merely orthonormal.
@@ -295,14 +294,14 @@ def _phase_fixed_q(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = np.diagonal(r, axis1=-2, axis2=-1)
     size = np.abs(d)
     phase = np.divide(d, size, out=np.ones_like(d), where=size != 0)
-    return q * phase[..., None, :], size
+    return q * phase[..., None, :]
 
 
 def _haar_from_normals(z: np.ndarray) -> np.ndarray:
     """Haar unitaries from standard normals of shape (..., 2, d, d): the real
     and imaginary parts of one complex Ginibre matrix each."""
     return _phase_fixed_q((z[..., 0, :, :] + 1j * z[..., 1, :, :])
-                          / math.sqrt(2.0))[0]
+                          / math.sqrt(2.0))
 
 
 def haar_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -310,38 +309,25 @@ def haar_unitary(rng: np.random.Generator) -> np.ndarray:
     return _haar_from_normals(rng.standard_normal((2, 4, 4)))
 
 
-def _norm(c: np.ndarray) -> np.ndarray:
-    """Euclidean norms (..., 1) of the complex vectors (..., m), rounded as
-    the 1-d np.linalg.norm rounds them; its axis form may not."""
-    x, y = c.real[..., None], c.imag[..., None]
-    return np.sqrt(np.swapaxes(x, -1, -2) @ x
-                   + np.swapaxes(y, -1, -2) @ y)[..., 0]
-
-
 def _feasible_from_normals(pattern: ConstraintPattern,
                            z: np.ndarray) -> np.ndarray:
     """Feasible mixers (..., 4, 4) from normals (..., 2m + 24), m free rows:
-    the real and imaginary parts of column 2 on the free rows, then those
-    of a 4x3 Ginibre matrix for the orthogonal completion."""
+    the real and imaginary parts of column 2, c, on the free rows, then
+    those of a 4x3 Ginibre matrix g. Columns 1-3 of the phase-fixed Q of
+    [c | g], unitary for any rank of g, complete c Haar-randomly (F.
+    Mezzadri, Notices AMS 54 (2007) 592)."""
     free = [r - 1 for r in pattern.free_rows]
     m = len(free)
     c_free = z[..., :m] + 1j * z[..., m:2 * m]
-    norm = _norm(c_free)
+    norm = np.linalg.norm(c_free, axis=-1, keepdims=True)
     fallback = norm < 1e-12
     c = np.zeros(z.shape[:-1] + (4,), dtype=np.complex128)
     c[..., free] = (np.where(fallback, 1.0, c_free)
                     / np.where(fallback, math.sqrt(m), norm))
     g = z[..., 2 * m:].reshape(z.shape[:-1] + (2, 4, 3))
     g = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / math.sqrt(2.0)
-    q, size = _phase_fixed_q(
-        g - c[..., :, None] * (c.conj()[..., None, :] @ g))
-    # a nearly rank-deficient projected block has a Q that need not be
-    # orthogonal to c; the full Q of [c | g] is unitary whatever the rank
-    thin = size.min(axis=-1) < RANK_FLOOR
-    if thin.any():
-        q[thin] = _phase_fixed_q(np.concatenate(
-            [c[thin][..., None], g[thin]], axis=-1))[0][..., 1:]
-    return np.concatenate([q[..., :1], c[..., None], q[..., 1:]], axis=-1)
+    q = _phase_fixed_q(np.concatenate([c[..., None], g], axis=-1))
+    return np.concatenate([q[..., 1:2], c[..., None], q[..., 2:]], axis=-1)
 
 
 def sample_feasible_unitary(pattern: ConstraintPattern,

@@ -345,6 +345,22 @@ class TestSpinbathCommand:
         assert rows[0, header.index("r_re")] == 1.0
         assert rows[0, header.index("r_im")] == 0.0
 
+    @pytest.mark.parametrize("with_file, with_n_spins",
+                             [(True, True), (False, False)])
+    def test_bath_source_is_exactly_one_flag(self, tmp_path, capsys,
+                                             with_file, with_n_spins):
+        bath_file = tmp_path / "bath.json"
+        bath_file.write_bytes(bath_file_of([json.dumps(GOOD_SPIN)]))
+        out = tmp_path / "sb.csv"
+        argv = ["spinbath", "--t-max", "1", "--n-points", "2", "-o", str(out)]
+        if with_file:
+            argv += ["--bath-file", str(bath_file)]
+        if with_n_spins:
+            argv += ["--n-spins", "3"]
+        assert main(argv) == 2
+        assert "--bath-file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_random_bath_modulus_bound(self, tmp_path):
         out = tmp_path / "sb.csv"
         code = main(["--seed", "12", "spinbath", "--n-spins", "20",

@@ -6,15 +6,19 @@ small size and compares the sha256 of the file it writes with the digest in
 ``golden/cli_sha256.json``. Digests can depend on the numpy/BLAS build, which
 is recorded next to them.
 
-A change that alters output bytes on purpose regenerates the file with
+A change that alters output bytes on purpose regenerates the digests of
+the cases it changes, and only those, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME...
 
-and says which fields changed, and why.
+and says which fields changed, and why. The tool refuses a name that is not
+a case, and refuses to run on a build other than the recorded one, whose
+digests of the other cases could differ.
 """
 
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -90,9 +94,55 @@ def test_cli_output_matches_golden_digest(name, tmp_path):
         f"{golden['build']}, running {build_info()})")
 
 
-if __name__ == "__main__":
+def regenerate(names, path: Path = GOLDEN) -> None:
+    """Rewrite the digests of the cases ``names`` in ``path``, no other."""
+    golden = json.loads(path.read_text())
+    unknown = sorted(set(names) - set(CASES))
+    if not names or unknown:
+        raise SystemExit(f"name the cases to regenerate; unknown: {unknown}")
+    if golden["build"] != build_info():
+        raise SystemExit(f"digests were recorded with {golden['build']}, "
+                         f"running {build_info()}")
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: output_sha256(argv, Path(tmp))
-                   for name, argv in sorted(CASES.items())}
-    GOLDEN.write_text(json.dumps({"build": build_info(), "sha256": digests},
-                                 indent=2) + "\n")
+        for name in names:
+            golden["sha256"][name] = output_sha256(CASES[name], Path(tmp))
+    path.write_text(json.dumps(golden, indent=2) + "\n")
+
+
+@pytest.fixture
+def golden_copy(tmp_path) -> Path:
+    path = tmp_path / "cli_sha256.json"
+    path.write_bytes(GOLDEN.read_bytes())
+    return path
+
+
+def test_regenerate_rewrites_only_the_named_digests(golden_copy):
+    golden = json.loads(golden_copy.read_text())
+    golden["sha256"]["kraus-canonical"] = "0" * 64
+    golden["sha256"]["kraus-choi"] = "1" * 64
+    golden_copy.write_text(json.dumps(golden, indent=2) + "\n")
+    regenerate(["kraus-canonical"], golden_copy)
+    golden["sha256"]["kraus-canonical"] = \
+        json.loads(GOLDEN.read_text())["sha256"]["kraus-canonical"]
+    assert golden_copy.read_text() == json.dumps(golden, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("names", [[], ["kraus-canonical", "no-such-case"]])
+def test_regenerate_refuses_unknown_names(golden_copy, names):
+    with pytest.raises(SystemExit, match="unknown"):
+        regenerate(names, golden_copy)
+    assert golden_copy.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_regenerate_refuses_another_build(golden_copy):
+    golden = json.loads(golden_copy.read_text())
+    golden["build"]["blas"] = "another-blas 0.0"
+    before = json.dumps(golden, indent=2) + "\n"
+    golden_copy.write_text(before)
+    with pytest.raises(SystemExit, match="recorded with"):
+        regenerate(["kraus-canonical"], golden_copy)
+    assert golden_copy.read_text() == before
+
+
+if __name__ == "__main__":
+    regenerate(sys.argv[1:])

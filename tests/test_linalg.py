@@ -126,6 +126,10 @@ class TestIsUnitary:
         with pytest.raises(ValueError, match="square"):
             linalg.is_unitary(np.ones((2, 4, 3)))
 
+    def test_empty_stack_is_unitary(self):
+        assert linalg.is_unitary(np.empty((0, 4, 4)))
+        assert linalg.max_abs(np.empty((0, 4, 4))) == 0.0
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan,
                                      complex(0.0, np.inf)])
     def test_non_finite_entry_is_not_unitary(self, rng, bad):

@@ -283,6 +283,11 @@ class TestSymmetricProbability:
         with pytest.raises(ValueError, match="gamma"):
             fn(BellState.B3, 1.5, np.eye(4))
 
+    def test_empty_stack_gives_no_probabilities(self):
+        p = symmetric_probability(BellState.B3, 0.0, np.empty((0, 4, 4)))
+        assert p.shape == (0,)
+        assert p.dtype == np.float64
+
     def test_rejects_stack_of_wrong_shape(self):
         with pytest.raises(ValueError, match="unitary"):
             symmetric_probability(BellState.B3, 0.0, np.eye(3)[None])
@@ -408,7 +413,9 @@ class TestUnitaryConstructions:
     @pytest.mark.parametrize("rows", [(), (1,), (1, 2), (1, 2, 3), (2, 4)])
     def test_sample_feasible_unitary_matches_two_draw_reference(self, rows):
         """One (2m + 24)-normal draw gives the mixer of the former
-        (2, m) draw followed by a (2, 4, 3) draw, bit for bit."""
+        (2, m) draw followed by a (2, 4, 3) draw, bit for bit, completed
+        by the phase-fixed Q of [c | g]; the completion from the block g
+        projected off c agrees with it to rounding."""
         pattern = ConstraintPattern.from_rows(rows)
         free = [r - 1 for r in pattern.free_rows]
         for i in range(200):
@@ -416,17 +423,21 @@ class TestUnitaryConstructions:
             z = rng.standard_normal((2, len(free)))
             c_free = z[0] + 1j * z[1]
             c = np.zeros(4, dtype=complex)
-            c[free] = c_free / np.linalg.norm(c_free)
+            c[free] = c_free / np.linalg.norm(c_free, axis=-1, keepdims=True)
             g = rng.standard_normal((2, 4, 3))
             g = (g[0] + 1j * g[1]) / SQRT2
-            q, r = np.linalg.qr(g - np.outer(c, c.conj() @ g))
-            d = np.diagonal(r).copy()
+            q, r = np.linalg.qr(np.column_stack([c, g]))
+            d = np.diagonal(r)
             expected = np.empty((4, 4), dtype=complex)
             expected[:, 1] = c
-            expected[:, [0, 2, 3]] = q * (d / np.abs(d))
+            expected[:, [0, 2, 3]] = (q * (d / np.abs(d)))[:, 1:]
             got = sample_feasible_unitary(pattern,
                                           derived_rng(17, FEASIBLE_SCAN, i))
             assert got.tobytes() == expected.tobytes()
+            q, r = np.linalg.qr(g - np.outer(c, c.conj() @ g))
+            d = np.diagonal(r)
+            assert np.max(np.abs(got[:, [0, 2, 3]] - q * (d / np.abs(d)))) \
+                <= 1e-11
 
 
 # The scans hand their mixers to the core unchecked, so the builders must
@@ -478,7 +489,7 @@ def test_rank_deficient_completion_is_unitary(rows, seed, along_c, delta):
         block[:, :, 0] = block[:, :, 1]
     block[:, :, 0] += delta * gen.standard_normal((2, 4))
     u = symmetry._feasible_from_normals(pattern, z)
-    # the scans build stacks, where only the flagged rows are rebuilt
+    # the scans build stacks: a row's mixer does not depend on its stack
     stack = np.stack([gen.standard_normal(z.shape), z])
     assert symmetry._feasible_from_normals(pattern, stack)[1].tobytes() \
         == u.tobytes()
